@@ -14,9 +14,9 @@
 //! The estimate is *open-loop* by default, exactly as the paper's
 //! front-end is. A [`Dispatcher`] running under the cluster runtime can
 //! instead close the loop ([`FeedbackMode::Corrected`]): at every
-//! control tick the nodes report what they actually did (finish time,
-//! busy time — the per-node telemetry the engine's `RunReport`
-//! carries), and the dispatcher maintains a per-node service-time
+//! control tick the nodes report what they actually did (busy time,
+//! and when they drain their backlog — read off each node's engine
+//! session), and the dispatcher maintains a per-node service-time
 //! correction factor (EWMA of observed over predicted busy time) so
 //! systematic, node-asymmetric prediction error (unmodelled expert
 //! switches on a migration receiver, a slower device than profiled)
@@ -40,7 +40,7 @@ use coserve_sim::device::ProcessorKind;
 use coserve_sim::memory::Bytes;
 use coserve_sim::network::{Fabric, NodeId};
 use coserve_sim::time::{SimSpan, SimTime};
-use coserve_workload::stream::{Job, RequestStream};
+use coserve_workload::stream::Job;
 
 use crate::placement::PlacementPlan;
 
@@ -137,19 +137,6 @@ pub enum Routing {
     /// queue that is already observed to be overflowing (only possible
     /// with [`Dispatcher::with_pacing`] enabled).
     Paced,
-}
-
-/// The routing decision for every job of a stream (the one-shot
-/// [`dispatch`] API).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DispatchOutcome {
-    /// Jobs per node, in dispatch order, with arrivals already shifted
-    /// by their fabric delays. Ids are *not* yet node-dense.
-    pub per_node: Vec<Vec<Job>>,
-    /// Stages whose expert lived off the routed node.
-    pub cross_node_hops: u64,
-    /// Total fabric time charged across all hops.
-    pub fabric_time_total: SimSpan,
 }
 
 /// The stateful cluster front-end: routes jobs one at a time against a
@@ -557,13 +544,13 @@ impl Dispatcher {
     }
 
     /// Feeds one node's tick telemetry back: `finish` is when the node
-    /// actually drained the work routed to it (its report's makespan
-    /// against the shared time origin), `busy` the executor time it
-    /// actually spent. Always scores the estimate error; under
-    /// [`FeedbackMode::Corrected`] also updates the node's
-    /// service-scale EWMA from the observed/predicted busy-time ratio
-    /// (the work-left estimate itself is *not* snapped to the
-    /// observation — see the inline note).
+    /// drained the work routed to it — or, while backlog remains, when
+    /// its own scheduler expects to — and `busy` the executor time it
+    /// actually spent since its last observation. Always scores the
+    /// estimate error; under [`FeedbackMode::Corrected`] also updates
+    /// the node's service-scale EWMA from the observed/predicted
+    /// busy-time ratio (the work-left estimate itself is *not* snapped
+    /// to the observation — see the inline note).
     ///
     /// # Panics
     ///
@@ -662,48 +649,6 @@ fn select_target(
     }
 }
 
-/// Routes every job of `stream` to a node — the one-shot convenience
-/// over a [`Dispatcher`] with every node live and open-loop estimates
-/// (exactly the paper-style offline front-end).
-///
-/// Fully deterministic: a pure function of its inputs, so two identical
-/// dispatches produce identical per-node schedules.
-///
-/// # Panics
-///
-/// Panics when the plan, fabric and `nodes` disagree on the node count,
-/// or a perf matrix lacks an entry the prediction needs.
-#[must_use]
-pub fn dispatch(
-    stream: &RequestStream,
-    model: &CoeModel,
-    plan: &PlacementPlan,
-    fabric: &Fabric,
-    nodes: &[NodeLoadModel<'_>],
-    route: RoutePolicy,
-    activation_bytes: Bytes,
-) -> DispatchOutcome {
-    let n = nodes.len();
-    assert!(n > 0, "dispatch needs at least one node");
-    let mut dispatcher = Dispatcher::new(n, route, activation_bytes, FeedbackMode::OpenLoop, false);
-    let alive = vec![true; n];
-    let mut per_node: Vec<Vec<Job>> = vec![Vec::new(); n];
-    for job in stream.jobs() {
-        match dispatcher.route_job(job, model, plan, fabric, nodes, &alive) {
-            Routing::Routed { node, job } => per_node[node].push(job),
-            Routing::Unhosted { expert } => {
-                unreachable!("lax dispatch never rejects (expert {expert})")
-            }
-            Routing::Paced => unreachable!("one-shot dispatch never paces"),
-        }
-    }
-    DispatchOutcome {
-        per_node,
-        cross_node_hops: dispatcher.cross_node_hops(),
-        fabric_time_total: dispatcher.fabric_time_total(),
-    }
-}
-
 /// Predicted service time of one request chain on a node: the measured
 /// `K + B` per stage, divided by the executors draining in parallel.
 fn predicted_service(model: &CoeModel, node: &NodeLoadModel<'_>, stages: &[ExpertId]) -> SimSpan {
@@ -730,7 +675,7 @@ mod tests {
     use coserve_model::devices;
     use coserve_sim::network::LinkProfile;
     use coserve_workload::board::BoardSpec;
-    use coserve_workload::stream::StreamOrder;
+    use coserve_workload::stream::{RequestStream, StreamOrder};
 
     fn setup(nodes: usize) -> (CoeModel, PerfMatrix, RequestStream, Fabric) {
         let board = BoardSpec::synthetic("disp", 30, 3, 1.2, 40.0, 0.5);
@@ -750,6 +695,40 @@ mod tests {
         (model, perf, stream, fabric)
     }
 
+    /// Every job of a stream routed by one open-loop dispatcher over an
+    /// all-live fleet with lax hosting: the offline front-end.
+    #[derive(Debug, PartialEq)]
+    struct Routed {
+        per_node: Vec<Vec<Job>>,
+        cross_node_hops: u64,
+        fabric_time_total: SimSpan,
+    }
+
+    fn route_stream(
+        stream: &RequestStream,
+        model: &CoeModel,
+        plan: &PlacementPlan,
+        fabric: &Fabric,
+        nodes: &[NodeLoadModel<'_>],
+        route: RoutePolicy,
+    ) -> Routed {
+        let n = nodes.len();
+        let mut d = Dispatcher::new(n, route, Bytes::mib(8), FeedbackMode::OpenLoop, false);
+        let alive = vec![true; n];
+        let mut per_node: Vec<Vec<Job>> = vec![Vec::new(); n];
+        for job in stream.jobs() {
+            match d.route_job(job, model, plan, fabric, nodes, &alive) {
+                Routing::Routed { node, job } => per_node[node].push(job),
+                other => panic!("lax open-loop routing must route: {other:?}"),
+            }
+        }
+        Routed {
+            per_node,
+            cross_node_hops: d.cross_node_hops(),
+            fabric_time_total: d.fabric_time_total(),
+        }
+    }
+
     fn load_models(perf: &PerfMatrix, n: usize) -> Vec<NodeLoadModel<'_>> {
         vec![
             NodeLoadModel {
@@ -766,14 +745,13 @@ mod tests {
         let (model, perf, stream, fabric) = setup(4);
         let plan = plan_placement(&model, &perf, 4, PlacementStrategy::UsageAware, 7);
         for route in RoutePolicy::ALL {
-            let out = dispatch(
+            let out = route_stream(
                 &stream,
                 &model,
                 &plan,
                 &fabric,
                 &load_models(&perf, 4),
                 route,
-                Bytes::mib(8),
             );
             let total: usize = out.per_node.iter().map(Vec::len).sum();
             assert_eq!(total, stream.len(), "{route} lost or duplicated jobs");
@@ -784,14 +762,13 @@ mod tests {
     fn round_robin_rotates_evenly() {
         let (model, perf, stream, fabric) = setup(4);
         let plan = plan_placement(&model, &perf, 4, PlacementStrategy::UsageAware, 7);
-        let out = dispatch(
+        let out = route_stream(
             &stream,
             &model,
             &plan,
             &fabric,
             &load_models(&perf, 4),
             RoutePolicy::RoundRobin,
-            Bytes::mib(8),
         );
         for node in &out.per_node {
             assert_eq!(node.len(), stream.len() / 4);
@@ -803,23 +780,21 @@ mod tests {
         let (model, perf, stream, fabric) = setup(4);
         let plan = plan_placement(&model, &perf, 4, PlacementStrategy::UsageAware, 7);
         let nodes = load_models(&perf, 4);
-        let rf = dispatch(
+        let rf = route_stream(
             &stream,
             &model,
             &plan,
             &fabric,
             &nodes,
             RoutePolicy::ResidencyFirst,
-            Bytes::mib(8),
         );
-        let rr = dispatch(
+        let rr = route_stream(
             &stream,
             &model,
             &plan,
             &fabric,
             &nodes,
             RoutePolicy::RoundRobin,
-            Bytes::mib(8),
         );
         assert!(
             rf.cross_node_hops < rr.cross_node_hops,
@@ -835,14 +810,13 @@ mod tests {
     fn replicated_placement_never_crosses_nodes() {
         let (model, perf, stream, fabric) = setup(3);
         let plan = plan_placement(&model, &perf, 3, PlacementStrategy::Replicated, 7);
-        let out = dispatch(
+        let out = route_stream(
             &stream,
             &model,
             &plan,
             &fabric,
             &load_models(&perf, 3),
             RoutePolicy::LeastLoaded,
-            Bytes::mib(8),
         );
         assert_eq!(out.cross_node_hops, 0);
         assert_eq!(out.fabric_time_total, SimSpan::ZERO);
@@ -862,14 +836,13 @@ mod tests {
     fn fabric_delay_shifts_arrivals_forward() {
         let (model, perf, stream, fabric) = setup(4);
         let plan = plan_placement(&model, &perf, 4, PlacementStrategy::Sharded, 7);
-        let out = dispatch(
+        let out = route_stream(
             &stream,
             &model,
             &plan,
             &fabric,
             &load_models(&perf, 4),
             RoutePolicy::RoundRobin,
-            Bytes::mib(8),
         );
         assert!(out.cross_node_hops > 0);
         let mut delayed = 0usize;
@@ -889,14 +862,13 @@ mod tests {
     fn least_loaded_balances_work_left() {
         let (model, perf, stream, fabric) = setup(2);
         let plan = plan_placement(&model, &perf, 2, PlacementStrategy::Replicated, 7);
-        let out = dispatch(
+        let out = route_stream(
             &stream,
             &model,
             &plan,
             &fabric,
             &load_models(&perf, 2),
             RoutePolicy::LeastLoaded,
-            Bytes::mib(8),
         );
         let (a, b) = (out.per_node[0].len(), out.per_node[1].len());
         assert!(
@@ -910,23 +882,21 @@ mod tests {
         let (model, perf, stream, fabric) = setup(4);
         let plan = plan_placement(&model, &perf, 4, PlacementStrategy::Random, 3);
         let nodes = load_models(&perf, 4);
-        let a = dispatch(
+        let a = route_stream(
             &stream,
             &model,
             &plan,
             &fabric,
             &nodes,
             RoutePolicy::ResidencyFirst,
-            Bytes::mib(8),
         );
-        let b = dispatch(
+        let b = route_stream(
             &stream,
             &model,
             &plan,
             &fabric,
             &nodes,
             RoutePolicy::ResidencyFirst,
-            Bytes::mib(8),
         );
         assert_eq!(a, b);
     }

@@ -1,18 +1,18 @@
 //! The event-driven cluster runtime.
 //!
-//! PR 3's cluster layer planned placement once and dispatched open-loop
-//! — "plan once, dispatch forever". This module turns that into a
-//! **control loop**: the run is divided into control *ticks*, and the
-//! runtime interleaves dispatch with periodic control actions:
+//! A one-shot cluster serve plans placement once and dispatches
+//! open-loop — "plan once, dispatch forever". This module turns that
+//! into a **control loop**: the run is divided into control *ticks*,
+//! and the runtime interleaves dispatch with periodic control actions:
 //!
-//! * **telemetry feedback** — at every tick boundary each node's engine
-//!   run reports what actually happened (finish time, busy time,
-//!   admitted/dropped counts); under
+//! * **telemetry feedback** — at every tick boundary each node reports
+//!   what it did during the tick (busy time, admitted/dropped counts)
+//!   and when its scheduler expects to drain its backlog; under
 //!   [`FeedbackMode::Corrected`](crate::dispatch::FeedbackMode) the
 //!   [`Dispatcher`] folds those observations back into its work-left
 //!   estimates instead of letting open-loop prediction error accumulate;
 //! * **failure injection** — a [`FailureSchedule`] kills and revives
-//!   nodes mid-run. On a kill, the dying node's not-yet-served requests
+//!   nodes mid-run. On a kill, the dying node's unfinished requests
 //!   are pulled back and re-routed to survivors, and (unless the
 //!   re-placement policy is [`ReplacementPolicy::Static`]) the planner
 //!   derives a successor [`PlacementPlan`] that re-replicates the dead
@@ -23,14 +23,23 @@
 //!   the plan's usage basis beyond a threshold, re-plans from the
 //!   observed usage and migrates the delta.
 //!
-//! Work is quantized at tick granularity: each tick's routed requests
-//! are served to completion by the per-node engines (an engine run *is*
-//! the node's simulation of that slice), and the next tick's routing
-//! sees the resulting telemetry. A kill mid-tick pulls back the dying
-//! node's entire un-flushed buffer — the node only starts a tick's
-//! work at the tick boundary, so that buffer is exactly the in-flight
-//! work — and re-routes it to survivors with arrivals floored at the
-//! failure instant; work served in earlier ticks already drained.
+//! Each node keeps one [`EngineSession`] for the whole run. A routed
+//! job is submitted to its node's session at once, and at every tick
+//! boundary each session is advanced to the boundary with
+//! [`EngineSession::pump_until`]; after the last arrival every session
+//! runs dry. Expert residency, queues and backlog therefore carry
+//! across ticks as on a real node, and the tick length is a control
+//! knob, not a capacity knob. Per-tick telemetry is the difference of
+//! the sessions' cumulative [`EngineSession::counters`] plus the
+//! drained completions, so a tick costs O(work in the tick).
+//!
+//! A kill serves the dying node up to the failure instant, then
+//! withdraws every job it has not finished — not yet arrived, queued
+//! or running — and re-routes those jobs with arrivals floored at the
+//! failure instant; withdrawn jobs do not count against the dead node.
+//! A revived node restarts with empty pools and preloads its share of
+//! the current plan. A slow-node window dilates the node's compute
+//! spans inside its engine.
 //!
 //! Everything stays deterministic bit for bit: the failure schedule,
 //! migrations and feedback are all pure functions of the inputs.
@@ -39,6 +48,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use coserve_core::config::{AdmissionControl, SystemConfig};
+use coserve_core::engine::{CompletionStatus, EngineSession, SessionCounters};
 use coserve_faults::{FaultPlan, LinkOutcome};
 use coserve_metrics::cluster::{ClusterReport, FailureRecord, FleetDynamics, TickStat};
 use coserve_metrics::faults::FaultLedger;
@@ -50,7 +60,7 @@ use coserve_sim::network::NodeId;
 use coserve_sim::time::{SimSpan, SimTime};
 use coserve_sim::transfer::TransferRoute;
 use coserve_trace::{NoopTracer, TraceEvent, TraceKind, Tracer};
-use coserve_workload::stream::{Job, JobId, RequestStream};
+use coserve_workload::stream::{Job, RequestStream};
 
 use crate::dispatch::{Dispatcher, FeedbackMode, NodeLoadModel, RouteFaults, Routing};
 use crate::placement::{migration_plan, MigrationPlan, PlacementPlan};
@@ -59,10 +69,11 @@ use crate::ClusterSystem;
 /// Whether a scheduled failure event kills or revives its node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum FailureKind {
-    /// The node dies: its buffered work re-routes, its shard orphans.
+    /// The node dies: its unfinished work re-routes, its shard orphans.
     Kill,
-    /// The node comes back empty (its pools and shard must be refilled
-    /// by re-placement).
+    /// The node comes back empty: its pools restart cold from the
+    /// current plan's preload order, and its shard must be refilled by
+    /// re-placement.
     Revive,
 }
 
@@ -208,7 +219,8 @@ pub struct RuntimeOptions {
     pub pacing: bool,
     /// Deterministic fault schedule for the fabric (link dilation and
     /// partitions, sampled per routed job and per migration move) and
-    /// the fleet (slow-node service dilation, sampled per tick). A
+    /// the fleet (slow-node compute dilation, sampled per batch inside
+    /// each node's engine). A
     /// disabled plan (the default) is never consulted, keeping the run
     /// bit-identical to a fault-free one.
     pub faults: FaultPlan,
@@ -350,9 +362,26 @@ impl ClusterSystem {
         if let Some(tick) = options.tick {
             assert!(tick > SimSpan::ZERO, "control tick must be positive");
         }
-        let mut runtime = Runtime::new(self, options, tracer);
-        runtime.run(stream)
+        let configs = node_configs(self, options);
+        let mut runtime = Runtime::new(self, options, &configs, stream, tracer);
+        runtime.run()
     }
+}
+
+/// Each node's serving configuration for a run: its own, with the
+/// online overrides applied.
+fn node_configs(sys: &ClusterSystem, options: &RuntimeOptions) -> Vec<SystemConfig> {
+    sys.nodes()
+        .iter()
+        .map(|s| {
+            let mut config = s.config().clone();
+            if let Some((admission, max_overtake)) = options.online {
+                config.admission = Some(admission);
+                config.max_overtake = Some(max_overtake);
+            }
+            config
+        })
+        .collect()
 }
 
 /// Control-calendar lane for scheduled failure events. Failures are
@@ -377,19 +406,35 @@ enum CtrlEv {
     Failure(FailureEvent),
 }
 
+/// One node's serving state for a whole run: a persistent engine
+/// session plus the bookkeeping that turns its cumulative counters into
+/// per-tick telemetry.
+struct NodeRun<'a> {
+    session: EngineSession<'a>,
+    /// Stream index of every job handed to the session, by session job
+    /// id (withdrawn jobs included): how a kill maps the ids the
+    /// session gives back to the jobs to re-route.
+    jobs: Vec<u32>,
+    /// Jobs routed here since the last flush.
+    routed: usize,
+    /// The session's counters at the last flush.
+    seen: SessionCounters,
+    /// The session's dilation time at the last flush.
+    seen_degraded: SimSpan,
+    /// The session's busy time at the last feedback observation.
+    observed_busy: SimSpan,
+}
+
 /// The mutable state of one runtime run.
 struct Runtime<'a> {
     sys: &'a ClusterSystem,
     options: &'a RuntimeOptions,
+    stream: &'a RequestStream,
     loads: Vec<NodeLoadModel<'a>>,
-    configs: Vec<SystemConfig>,
     dispatcher: Dispatcher,
     plan: PlacementPlan,
     alive: Vec<bool>,
-    /// Jobs routed during the current tick, per node.
-    buffers: Vec<Vec<Job>>,
-    /// Per-node reports accumulated across ticks.
-    merged: Vec<Option<RunReport>>,
+    nodes: Vec<NodeRun<'a>>,
     dynamics: FleetDynamics,
     /// When each recently migrated expert's new copies become usable;
     /// requests touching one are delayed to its completion.
@@ -416,9 +461,12 @@ impl<'a> Runtime<'a> {
     fn new(
         sys: &'a ClusterSystem,
         options: &'a RuntimeOptions,
+        configs: &'a [SystemConfig],
+        stream: &'a RequestStream,
         tracer: &'a mut (dyn Tracer + 'a),
     ) -> Self {
         let n = sys.num_nodes();
+        let faults = (!options.faults.is_disabled()).then_some(&options.faults);
         let loads: Vec<NodeLoadModel<'a>> = sys
             .nodes()
             .iter()
@@ -428,16 +476,30 @@ impl<'a> Runtime<'a> {
                 has_gpu: s.config().gpu_executor_count() > 0,
             })
             .collect();
-        let configs: Vec<SystemConfig> = sys
+        let nodes = sys
             .nodes()
             .iter()
-            .map(|s| {
-                let mut config = s.config().clone();
-                if let Some((admission, max_overtake)) = options.online {
-                    config.admission = Some(admission);
-                    config.max_overtake = Some(max_overtake);
+            .zip(configs)
+            .enumerate()
+            .map(|(i, (system, config))| {
+                let label = format!("{} @ {}", stream.name(), sys.node_names()[i]);
+                let mut session = system
+                    .session_configured(label, config)
+                    // tidy:allow(panic-ratchet) the node's own validated
+                    // config; the online overrides touch no checked field.
+                    .expect("validated at cluster construction");
+                session.set_trace_node(i as u32);
+                if let Some(plan) = faults {
+                    session.set_node_dilation(plan.clone());
                 }
-                config
+                NodeRun {
+                    session,
+                    jobs: Vec::new(),
+                    routed: 0,
+                    seen: SessionCounters::default(),
+                    seen_degraded: SimSpan::ZERO,
+                    observed_busy: SimSpan::ZERO,
+                }
             })
             .collect();
         let dispatcher = Dispatcher::new(
@@ -451,13 +513,12 @@ impl<'a> Runtime<'a> {
         Runtime {
             sys,
             options,
+            stream,
             loads,
-            configs,
             dispatcher,
             plan: sys.plan().clone(),
             alive: vec![true; n],
-            buffers: vec![Vec::new(); n],
-            merged: (0..n).map(|_| None).collect(),
+            nodes,
             dynamics: FleetDynamics::default(),
             available_at: BTreeMap::new(),
             observed: vec![0; sys.model().num_experts()],
@@ -466,7 +527,7 @@ impl<'a> Runtime<'a> {
             tick_routing_dropped: 0,
             tick_latencies: Vec::new(),
             tracer,
-            faults: (!options.faults.is_disabled()).then_some(&options.faults),
+            faults,
             ledger: FaultLedger::default(),
         }
     }
@@ -477,7 +538,8 @@ impl<'a> Runtime<'a> {
         self.tracer.record(TraceEvent { at, node, kind });
     }
 
-    fn run(&mut self, stream: &RequestStream) -> ClusterReport {
+    fn run(&mut self) -> ClusterReport {
+        let stream = self.stream;
         let jobs = stream.jobs();
         // Failures first: at a shared instant their smaller sequence
         // numbers pop ahead of the arrival, as the historic merge did.
@@ -494,13 +556,13 @@ impl<'a> Runtime<'a> {
 
         loop {
             // Exact skip-ahead over empty control ticks: nothing fires
-            // before the next tick boundary, an empty flush publishes
-            // no tick stat, and no drift re-plan is pending, so jump
-            // the clock arithmetically to the tick holding the next
-            // calendar entry instead of spinning through the gap one
-            // empty tick at a time.
+            // before the next tick boundary, every node is idle so an
+            // empty flush publishes no tick stat, and no drift re-plan
+            // is pending, so jump the clock arithmetically to the tick
+            // holding the next calendar entry instead of spinning
+            // through the gap one empty tick at a time.
             if let Some(t) = self.options.tick {
-                if arrivals_left > 0 && !self.drift_replan_pending() {
+                if arrivals_left > 0 && !self.drift_replan_pending() && self.fleet_idle() {
                     if let Some(next) = calendar.peek_time() {
                         let gap = next.saturating_since(tick_start);
                         if gap >= t {
@@ -523,26 +585,21 @@ impl<'a> Runtime<'a> {
                 match scheduled.payload {
                     CtrlEv::Arrive(index) => {
                         arrivals_left -= 1;
-                        let job = &jobs[index];
-                        self.tick_routed += 1;
-                        for &e in &job.stages {
-                            self.observed[e.index()] += 1;
-                        }
-                        self.observed_total += job.stages.len() as u64;
-                        self.route(job.clone(), None);
+                        self.arrive(index);
                     }
                     CtrlEv::Failure(event) => self.apply_event(event),
                 }
             }
 
             let flush_end = tick_end.unwrap_or_else(|| stream.last_arrival());
-            self.flush_tick(tick_index, tick_start, flush_end, stream.name());
+            self.flush_tick(tick_index, tick_start, flush_end, arrivals_left == 0);
             self.maybe_drift_replan(flush_end);
             tick_index += 1;
 
             if arrivals_left == 0 {
-                // Buffers are flushed; remaining events only mutate the
-                // plan/alive state and the failure ledger.
+                // Every node ran dry in the last flush; remaining events
+                // only mutate the plan/alive state and the failure
+                // ledger.
                 while let Some(scheduled) = calendar.pop() {
                     match scheduled.payload {
                         CtrlEv::Failure(event) => self.apply_event(event),
@@ -554,7 +611,7 @@ impl<'a> Runtime<'a> {
             tick_start = tick_end.expect("arrivals remain only under finite ticks");
         }
 
-        self.assemble(stream)
+        self.assemble()
     }
 
     /// The pre-calendar control loop, kept verbatim as the equivalence
@@ -562,7 +619,8 @@ impl<'a> Runtime<'a> {
     /// schedule, advancing tick by tick with no skip-ahead. The
     /// calendar-driven [`Runtime::run`] must match it bit for bit.
     #[cfg(test)]
-    fn run_reference(&mut self, stream: &RequestStream) -> ClusterReport {
+    fn run_reference(&mut self) -> ClusterReport {
+        let stream = self.stream;
         let events = self.options.failures.events().to_vec();
         let jobs = stream.jobs();
         let (mut ji, mut ev) = (0usize, 0usize);
@@ -579,14 +637,8 @@ impl<'a> Runtime<'a> {
                     self.apply_event(events[ev]);
                     ev += 1;
                 }
-                let job = &jobs[ji];
+                self.arrive(ji);
                 ji += 1;
-                self.tick_routed += 1;
-                for &e in &job.stages {
-                    self.observed[e.index()] += 1;
-                }
-                self.observed_total += job.stages.len() as u64;
-                self.route(job.clone(), None);
             }
             // Events later in the tick fire after its last arrival.
             while ev < events.len() && in_tick(events[ev].at) {
@@ -595,7 +647,7 @@ impl<'a> Runtime<'a> {
             }
 
             let flush_end = tick_end.unwrap_or_else(|| stream.last_arrival());
-            self.flush_tick(tick_index, tick_start, flush_end, stream.name());
+            self.flush_tick(tick_index, tick_start, flush_end, ji >= jobs.len());
             self.maybe_drift_replan(flush_end);
             tick_index += 1;
 
@@ -609,12 +661,42 @@ impl<'a> Runtime<'a> {
             tick_start = tick_end.expect("jobs remain only under finite ticks");
         }
 
-        self.assemble(stream)
+        self.assemble()
     }
 
-    /// Routes one job (optionally floored to a re-route instant) into a
-    /// node buffer, or records a front-end rejection.
-    fn route(&mut self, mut job: Job, floor: Option<SimTime>) {
+    /// Whether no node has pending work.
+    fn fleet_idle(&self) -> bool {
+        self.nodes.iter().all(|n| n.session.is_idle())
+    }
+
+    /// A stream job reaches the front-end: count it into the tick and
+    /// the drift telemetry, then route it.
+    fn arrive(&mut self, index: usize) {
+        let job = &self.stream.jobs()[index];
+        self.tick_routed += 1;
+        for &e in &job.stages {
+            self.observed[e.index()] += 1;
+        }
+        self.observed_total += job.stages.len() as u64;
+        self.route(index, None);
+    }
+
+    /// Routes stream job `index` (its arrival optionally floored to a
+    /// re-route instant) into a node's session, or records a front-end
+    /// rejection.
+    fn route(&mut self, index: usize, floor: Option<SimTime>) {
+        let stream = self.stream;
+        let floored;
+        let job = match floor {
+            Some(at) if at > stream.jobs()[index].arrival => {
+                floored = Job {
+                    arrival: at,
+                    ..stream.jobs()[index].clone()
+                };
+                &floored
+            }
+            _ => &stream.jobs()[index],
+        };
         if !self.alive.iter().any(|&a| a) {
             self.dynamics.routing_dropped += 1;
             self.tick_routing_dropped += 1;
@@ -630,9 +712,6 @@ impl<'a> Runtime<'a> {
             }
             return;
         }
-        if let Some(at) = floor {
-            job.arrival = job.arrival.max(at);
-        }
         let hedge = self.options.hedge;
         let route_faults = self.faults.map(|plan| RouteFaults {
             plan,
@@ -640,7 +719,7 @@ impl<'a> Runtime<'a> {
             hedge,
         });
         match self.dispatcher.route_job_with_faults(
-            &job,
+            job,
             self.sys.model(),
             &self.plan,
             self.sys.fabric(),
@@ -648,7 +727,7 @@ impl<'a> Runtime<'a> {
             &self.alive,
             route_faults,
         ) {
-            Routing::Routed { node, mut job } => {
+            Routing::Routed { node, job } => {
                 // A chain touching an in-flight migrated expert waits
                 // for its copy to land.
                 let mut arrival = job.arrival;
@@ -657,8 +736,13 @@ impl<'a> Runtime<'a> {
                         arrival = arrival.max(ready);
                     }
                 }
-                job.arrival = arrival;
-                self.buffers[node].push(job);
+                let target = &mut self.nodes[node];
+                target
+                    .session
+                    .submit(arrival, &job.stages)
+                    .expect("stream jobs reference experts of the cluster's model");
+                target.jobs.push(index as u32);
+                target.routed += 1;
             }
             Routing::Unhosted { .. } => {
                 self.dynamics.routing_dropped += 1;
@@ -707,13 +791,21 @@ impl<'a> Runtime<'a> {
         // its predicted backlog is re-charged to the re-route targets,
         // and a later revival starts from a clean slate.
         self.dispatcher.forget_node(node);
-        // Pull back the dying node's not-yet-started work: the per-node
-        // engine only starts a tick's buffer at the flush, so the whole
-        // current buffer is in flight at the front-end but unserved at
-        // the node. Re-routed arrivals are floored at the failure
-        // instant (the re-route cannot happen before the failure is
-        // observed).
-        let pulled: Vec<Job> = self.buffers[node].drain(..).collect();
+        // The node serves up to the failure instant, then every job it
+        // has not finished — queued, running or not yet arrived — is
+        // taken back and re-routed with its arrival floored at the
+        // failure instant (the re-route cannot happen before the
+        // failure is observed).
+        let dying = &mut self.nodes[node];
+        dying.session.pump_until(at);
+        let pulled: Vec<usize> = dying
+            .session
+            .withdraw_unfinished()
+            .into_iter()
+            .map(|id| dying.jobs[id as usize] as usize)
+            .collect();
+        // A revival's first observation covers only post-revival work.
+        dying.observed_busy = dying.session.counters().busy();
         if self.tracer.enabled() {
             self.emit(
                 at,
@@ -741,8 +833,8 @@ impl<'a> Runtime<'a> {
             revived_at: None,
         });
         self.dynamics.rerouted += pulled.len() as u64;
-        for job in pulled {
-            self.route(job, Some(at));
+        for index in pulled {
+            self.route(index, Some(at));
         }
     }
 
@@ -762,6 +854,9 @@ impl<'a> Runtime<'a> {
             let _ = self.migrate(&migration, next.version(), at);
             self.plan = next;
         }
+        self.nodes[node]
+            .session
+            .reload_pools(self.plan.preload_order(node));
         if let Some(record) = self
             .dynamics
             .failures
@@ -934,84 +1029,62 @@ impl<'a> Runtime<'a> {
         self.plan = next;
     }
 
-    /// Runs every node's engine over its tick buffer, feeds the
-    /// telemetry back and appends the tick to the timeline.
-    fn flush_tick(&mut self, index: u32, start: SimTime, end: SimTime, stream_name: &str) {
+    /// Advances every node's session to the tick boundary (or, on the
+    /// last tick, runs it dry), feeds the per-tick telemetry back and
+    /// appends the tick to the timeline.
+    fn flush_tick(&mut self, index: u32, start: SimTime, end: SimTime, last: bool) {
         let mut completed = 0usize;
         let mut dropped = self.tick_routing_dropped;
         let mut slo_met = 0usize;
         self.tick_latencies.clear();
-        for node in 0..self.buffers.len() {
-            if self.buffers[node].is_empty() {
-                continue;
+        for node in 0..self.nodes.len() {
+            let run = &mut self.nodes[node];
+            if last {
+                run.session.pump();
+            } else {
+                run.session.pump_until(end);
             }
-            let mut jobs = std::mem::take(&mut self.buffers[node]);
-            // Fabric delays can reorder arrivals; restore the
-            // non-decreasing order per node and re-densify ids.
-            jobs.sort_by_key(|j| j.arrival);
-            for (k, job) in jobs.iter_mut().enumerate() {
-                job.id = JobId(k as u32);
+            for c in run.session.drain_completions() {
+                match c.status {
+                    CompletionStatus::Completed => {
+                        completed += 1;
+                        if c.latency <= self.options.slo {
+                            slo_met += 1;
+                        }
+                        self.tick_latencies.push(c.latency);
+                    }
+                    CompletionStatus::Dropped => dropped += 1,
+                    CompletionStatus::Failed => {}
+                }
             }
-            let name = format!("{} @ {}", stream_name, self.sys.node_names()[node]);
-            let node_stream = RequestStream::from_jobs(name, jobs);
-            let report = self.sys.nodes()[node]
-                .serve_configured(&node_stream, &self.configs[node])
-                .expect("validated at cluster construction");
-            // A slow-node window dilates everything the node's service
-            // shows the control loop this tick: its finish time, its
-            // busy time and its latency samples. Under feedback the
-            // inflated busy/predicted ratio raises the node's service
-            // scale and steers traffic away — the recovery path.
-            let dilation = self.faults.map_or(1.0, |p| p.node_dilation(node, start));
-            let (finish, busy) = if dilation > 1.0 {
-                let makespan = dilate_span(report.makespan, dilation);
-                let extra = makespan.saturating_sub(report.makespan);
+            let now = run.session.counters();
+            if self.alive[node] && run.routed > 0 {
+                // While backlog remains the node reports when its own
+                // scheduler expects to drain it.
+                let finish = run.session.predicted_drain(end);
+                self.dispatcher
+                    .observe(node, finish, now.busy() - run.observed_busy);
+                self.dispatcher.observe_admission(
+                    node,
+                    now.admitted.saturating_sub(run.seen.admitted),
+                    now.dropped - run.seen.dropped,
+                    finish.saturating_since(start),
+                    end.saturating_since(start),
+                );
+                run.observed_busy = now.busy();
+            }
+            // A slow-node window shows up as dilated compute inside the
+            // engine; count the node-tick and trace the extra time.
+            let degraded = run.session.fault_ledger().degraded_time;
+            let extra = degraded - run.seen_degraded;
+            run.seen = now;
+            run.seen_degraded = degraded;
+            run.routed = 0;
+            if !extra.is_zero() {
                 self.ledger.slow_node_ticks += 1;
-                self.ledger.degraded_time += extra;
-                self.ledger.note_fault(start);
-                self.ledger.note_recovery(SimTime::ZERO + makespan);
                 if self.tracer.enabled() {
                     self.emit(start, node as u32, TraceKind::SlowNode { extra });
                 }
-                (
-                    SimTime::ZERO + makespan,
-                    dilate_span(report.exec_time_total + report.switch_time_total, dilation),
-                )
-            } else {
-                (
-                    SimTime::ZERO + report.makespan,
-                    report.exec_time_total + report.switch_time_total,
-                )
-            };
-            self.dispatcher.observe(node, finish, busy);
-            self.dispatcher.observe_admission(
-                node,
-                report.admitted,
-                report.dropped,
-                finish.saturating_since(start),
-                end.saturating_since(start),
-            );
-            completed += report.completed;
-            dropped += report.dropped;
-            if dilation > 1.0 {
-                for &l in &report.job_latencies {
-                    let slowed = dilate_span(l, dilation);
-                    if slowed <= self.options.slo {
-                        slo_met += 1;
-                    }
-                    self.tick_latencies.push(slowed);
-                }
-            } else {
-                slo_met += report
-                    .job_latencies
-                    .iter()
-                    .filter(|&&l| l <= self.options.slo)
-                    .count();
-                self.tick_latencies.extend(report.job_latencies.iter());
-            }
-            match &mut self.merged[node] {
-                Some(merged) => merged.absorb(report),
-                None => self.merged[node] = Some(report),
             }
         }
         if self.tick_routed > 0 || completed > 0 || dropped > 0 {
@@ -1033,25 +1106,27 @@ impl<'a> Runtime<'a> {
         self.available_at.retain(|_, &mut ready| ready > end);
     }
 
-    fn assemble(&mut self, stream: &RequestStream) -> ClusterReport {
-        let reports: Vec<RunReport> = self
-            .merged
-            .iter_mut()
-            .enumerate()
-            .map(|(i, slot)| {
-                slot.take().unwrap_or_else(|| {
-                    // Routed nothing here (possible under residency-
-                    // first routing of a tiny stream, or a node dead
-                    // from the start): a zero report.
-                    let system = &self.sys.nodes()[i];
-                    RunReport::empty(
-                        system.config().name.clone(),
-                        system.device().name(),
-                        format!("{} @ {}", stream.name(), self.sys.node_names()[i]),
-                    )
-                })
-            })
-            .collect();
+    fn assemble(&mut self) -> ClusterReport {
+        let mut reports = Vec::with_capacity(self.nodes.len());
+        for (run, system) in std::mem::take(&mut self.nodes)
+            .into_iter()
+            .zip(self.sys.nodes())
+        {
+            self.ledger.merge(run.session.fault_ledger());
+            reports.push(if run.jobs.is_empty() {
+                // Routed nothing here (possible under residency-first
+                // routing of a tiny stream, or a node dead from the
+                // start): a zero report.
+                RunReport::empty(
+                    system.config().name.clone(),
+                    system.device().name(),
+                    run.session.label(),
+                )
+            } else {
+                run.session.into_report()
+            });
+        }
+        let stream = self.stream;
         let feedback = match self.options.feedback {
             FeedbackMode::OpenLoop => String::new(),
             FeedbackMode::Corrected => ", feedback".to_string(),
@@ -1136,12 +1211,13 @@ mod tests {
         options: &RuntimeOptions,
     ) -> ClusterReport {
         use coserve_trace::RingTracer;
+        let configs = node_configs(cluster, options);
         let mut calendar_tracer = RingTracer::new();
-        let mut runtime = Runtime::new(cluster, options, &mut calendar_tracer);
-        let calendar = runtime.run(stream);
+        let mut runtime = Runtime::new(cluster, options, &configs, stream, &mut calendar_tracer);
+        let calendar = runtime.run();
         let mut reference_tracer = RingTracer::new();
-        let mut runtime = Runtime::new(cluster, options, &mut reference_tracer);
-        let reference = runtime.run_reference(stream);
+        let mut runtime = Runtime::new(cluster, options, &configs, stream, &mut reference_tracer);
+        let reference = runtime.run_reference();
         assert_eq!(
             calendar, reference,
             "calendar loop must match the reference loop"
@@ -1222,6 +1298,99 @@ mod tests {
         assert_eq!(plain.dynamics.plan_versions, 0);
     }
 
+    /// A fault-free single-node fleet at `rps` Poisson arrivals.
+    fn single_node(rps: f64) -> (ClusterSystem, RequestStream) {
+        let task = TaskSpec::a1();
+        let model = task.build_model().unwrap();
+        let device = devices::numa_rtx3080ti();
+        let cluster = ClusterSystem::homogeneous(
+            1,
+            &device,
+            &presets::coserve(&device),
+            &model,
+            LinkProfile::ethernet_10g(),
+            ClusterOptions::default(),
+        )
+        .unwrap();
+        let stream = RequestStream::generate_open_loop(
+            "poisson",
+            task.board(),
+            cluster.model(),
+            300,
+            coserve_workload::arrivals::ArrivalProcess::poisson(rps),
+            coserve_workload::stream::StreamOrder::Iid,
+            5,
+        );
+        (cluster, stream)
+    }
+
+    #[test]
+    fn tick_length_is_a_control_knob_not_a_capacity_knob() {
+        // Near the node's capacity, so backlog crosses tick boundaries.
+        let (cluster, stream) = single_node(15.0);
+        let sorted = |mut v: Vec<SimSpan>| {
+            v.sort_unstable();
+            v
+        };
+        let batch = cluster.nodes()[0].serve(&stream);
+        let expected = sorted(batch.job_latencies.clone());
+        assert_eq!(expected.len(), stream.len());
+        for tick in [
+            None,
+            Some(SimSpan::from_secs(1)),
+            Some(SimSpan::from_millis(100)),
+        ] {
+            let options = RuntimeOptions {
+                tick,
+                ..RuntimeOptions::default()
+            };
+            let report = cluster.serve_runtime(&stream, &options);
+            assert_eq!(
+                sorted(report.nodes[0].job_latencies.clone()),
+                expected,
+                "tick {tick:?} changed the latency ledger"
+            );
+            assert_eq!(report.nodes[0].expert_switches(), batch.expert_switches());
+            assert_eq!(report.makespan, batch.makespan);
+        }
+    }
+
+    #[test]
+    fn kill_reroutes_unfinished_jobs_and_conserves_the_stream() {
+        let (cluster, stream) = fleet(4);
+        let at = mid(&stream);
+        let options = RuntimeOptions::default()
+            .tick(SimSpan::from_millis(60))
+            .failures(FailureSchedule::new().kill(1, at));
+        let mut tracer = coserve_trace::RingTracer::new();
+        let report = cluster.serve_runtime_traced(&stream, &options, &mut tracer);
+        let rerouted = tracer
+            .events()
+            .find_map(|e| match e.kind {
+                TraceKind::NodeKilled { rerouted } => Some(rerouted),
+                _ => None,
+            })
+            .expect("the kill is traced");
+        assert!(rerouted > 0, "the dying node had unfinished work");
+        assert_eq!(u64::from(rerouted), report.dynamics.rerouted);
+        // Every stream job is counted exactly once: on the node that
+        // finally held it, or as a front-end rejection. Withdrawn jobs
+        // do not also count on the dead node.
+        let node_submitted: usize = report.nodes.iter().map(|n| n.submitted).sum();
+        let front_end =
+            report.dynamics.routing_dropped + usize::try_from(report.dynamics.paced_shed).unwrap();
+        assert_eq!(node_submitted + front_end, stream.len());
+        assert_eq!(report.submitted, stream.len());
+        for node in &report.nodes {
+            assert_eq!(
+                node.completed + node.failed + node.dropped,
+                node.submitted,
+                "{}",
+                node.task
+            );
+        }
+    }
+
     #[test]
     fn ticked_open_loop_routes_identically_to_one_shot() {
         let (cluster, stream) = fleet(3);
@@ -1232,7 +1401,7 @@ mod tests {
         );
         // Open-loop estimates accumulate identically across tick
         // boundaries, so the routing (and the fabric charges) match;
-        // only the per-tick engine slicing differs.
+        // only the telemetry is sliced per tick.
         assert_eq!(one_shot.cross_node_hops, ticked.cross_node_hops);
         assert_eq!(one_shot.fabric_time_total, ticked.fabric_time_total);
         assert_eq!(one_shot.submitted, ticked.submitted);

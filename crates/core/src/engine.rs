@@ -469,6 +469,7 @@ impl JobState {
     const FAILED: u8 = 1;
     const DONE: u8 = 1 << 1;
     const DROPPED: u8 = 1 << 2;
+    const WITHDRAWN: u8 = 1 << 3;
 
     fn failed(self) -> bool {
         self.0 & Self::FAILED != 0
@@ -493,6 +494,10 @@ impl JobState {
 
     fn set_dropped(&mut self) {
         self.0 |= Self::DROPPED;
+    }
+
+    fn set_withdrawn(&mut self) {
+        self.0 |= Self::WITHDRAWN;
     }
 }
 
@@ -548,6 +553,43 @@ pub struct Completion {
     pub latency: SimSpan,
 }
 
+/// A session's cumulative counters, read in O(executors) without
+/// touching the latency ledgers — the cheap half of
+/// [`EngineSession::snapshot`]. Differences between two reads are the
+/// per-interval telemetry a control loop feeds back (the cluster
+/// runtime reads one per node per tick).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SessionCounters {
+    /// Jobs submitted and not withdrawn.
+    pub submitted: usize,
+    /// Jobs fully completed.
+    pub completed: usize,
+    /// Jobs failed.
+    pub failed: usize,
+    /// Jobs whose first stage passed admission control.
+    pub admitted: usize,
+    /// Jobs shed by admission control.
+    pub dropped: usize,
+    /// Stages executed.
+    pub stages_executed: usize,
+    /// When the last batch finished.
+    pub last_done: SimTime,
+    /// Expert switches recorded so far.
+    pub expert_switches: u64,
+    /// Executor time spent switching experts.
+    pub switch_time: SimSpan,
+    /// Executor time spent executing batches.
+    pub exec_time: SimSpan,
+}
+
+impl SessionCounters {
+    /// Executor busy time: switching plus executing.
+    #[must_use]
+    pub fn busy(&self) -> SimSpan {
+        self.switch_time + self.exec_time
+    }
+}
+
 /// Submitted-job metadata, stored flat: stage experts for all jobs live
 /// in one arena (`stage_arena`) and each job records its slice.
 #[derive(Debug, Clone, Copy)]
@@ -601,6 +643,9 @@ pub struct EngineSession<'a> {
     cache: Option<ModelPool>,
     jobs: Vec<JobState>,
     rr_cursor: usize,
+    /// Jobs taken back by [`EngineSession::withdraw_unfinished`]; they
+    /// no longer count as submitted.
+    withdrawn: usize,
     completed: usize,
     failed: usize,
     admitted: usize,
@@ -645,6 +690,9 @@ pub struct EngineSession<'a> {
     faults: Option<FaultPlan>,
     /// Recovery policy for injected load faults.
     retry: RetryPolicy,
+    /// Slow-node schedule for the compute path; `None` unless installed
+    /// with [`EngineSession::set_node_dilation`].
+    node_dilation: Option<Box<FaultPlan>>,
     /// Injection/recovery accounting for this session.
     fault_ledger: FaultLedger,
 }
@@ -760,6 +808,7 @@ impl<'a> EngineSession<'a> {
             cache,
             jobs: Vec::new(),
             rr_cursor: 0,
+            withdrawn: 0,
             completed: 0,
             failed: 0,
             admitted: 0,
@@ -780,6 +829,7 @@ impl<'a> EngineSession<'a> {
             trace_node: 0,
             faults: None,
             retry: RetryPolicy::none(),
+            node_dilation: None,
             fault_ledger: FaultLedger::default(),
         };
         if engine.config.preload {
@@ -809,6 +859,28 @@ impl<'a> EngineSession<'a> {
         preload_round_robin(&mut pools, order, |e| model.weight_bytes(e));
     }
 
+    /// Restarts the memory tiers cold: empties every executor pool and
+    /// the staging cache, then preloads `order` round-robin (when the
+    /// configuration preloads at all) as a new session would — a
+    /// revived node coming back with a new placement. Call it on an
+    /// idle session; counters, ledgers and the clock carry on.
+    pub fn reload_pools(&mut self, order: &[ExpertId]) {
+        debug_assert!(self.is_idle(), "reload_pools on a busy session");
+        for exec in &mut self.execs {
+            exec.pool.clear();
+            exec.switch_dirty = true;
+        }
+        if let Some(cache) = &mut self.cache {
+            cache.clear();
+        }
+        if self.engine.config.preload {
+            let model = self.engine.model;
+            let mut pools: Vec<&mut ModelPool> =
+                self.execs.iter_mut().map(|e| &mut e.pool).collect();
+            preload_round_robin(&mut pools, order, |e| model.weight_bytes(e));
+        }
+    }
+
     /// The session label (report/snapshot task name).
     #[must_use]
     pub fn label(&self) -> &str {
@@ -828,10 +900,10 @@ impl<'a> EngineSession<'a> {
         self.events.len()
     }
 
-    /// Number of jobs submitted so far.
+    /// Number of jobs submitted so far, less any withdrawn.
     #[must_use]
     pub fn submitted(&self) -> usize {
-        self.submitted_jobs.len()
+        self.submitted_jobs.len() - self.withdrawn
     }
 
     /// Whether every submitted job has reached a terminal state.
@@ -941,6 +1013,64 @@ impl<'a> EngineSession<'a> {
         self.events = Calendar::reference(lane::COUNT);
     }
 
+    /// Takes back every job that has not reached a terminal state —
+    /// not yet arrived, queued or in a running batch — and returns
+    /// their ids in submission order. Withdrawn jobs leave the
+    /// session's job counters as if never submitted: they count as
+    /// neither submitted, admitted, completed, failed nor dropped, and
+    /// produce no completion record (the cluster runtime re-routes a
+    /// dead node's jobs this way). Work they already did stays on the
+    /// books: executed stages, switches, and channel time reserved for
+    /// an aborted batch. Every pending event is discarded and every
+    /// executor goes idle at the current time.
+    pub fn withdraw_unfinished(&mut self) -> Vec<u32> {
+        let now = self.events.now();
+        // An open job whose first stage is still pending (arrival or
+        // scheduling) has not been admitted; every other open job has.
+        let mut unadmitted = 0usize;
+        for ev in self.events.drain() {
+            if let Ev::Arrive { stage: 0, .. } | Ev::Sched { stage: 0, .. } = ev.payload {
+                unadmitted += 1;
+            }
+        }
+        let mut ids = Vec::new();
+        for (job, state) in self.jobs.iter_mut().enumerate() {
+            if state.is_open() {
+                state.set_withdrawn();
+                ids.push(job as u32);
+            }
+        }
+        self.admitted -= ids.len() - unadmitted;
+        self.withdrawn += ids.len();
+        for (exec_idx, exec) in self.execs.iter_mut().enumerate() {
+            if let Some(inf) = exec.in_flight.take() {
+                // A switch already charged to the executor keeps its
+                // ledger entry, cut short at the abort.
+                if let Some(sw) = inf.switch {
+                    self.switch_events.push(SwitchEvent {
+                        at: sw.started,
+                        executor: exec_idx,
+                        expert: sw.expert,
+                        source: sw.source,
+                        duration: now.saturating_since(sw.started),
+                    });
+                }
+                let (mut batch, mut legs) = (inf.batch, inf.legs);
+                batch.clear();
+                self.batch_pool.push(batch);
+                legs.clear();
+                self.legs_pool.push(legs);
+            }
+            exec.queue = ExecutorQueue::new();
+            exec.busy_until = now;
+            exec.work_exec = SimSpan::ZERO;
+            exec.switch_spans.clear();
+            exec.switch_total = SimSpan::ZERO;
+            exec.switch_dirty = false;
+        }
+        ids
+    }
+
     /// Takes every terminal job record produced since the last drain,
     /// in completion order.
     pub fn drain_completions(&mut self) -> Vec<Completion> {
@@ -984,6 +1114,15 @@ impl<'a> EngineSession<'a> {
         self.retry = retry;
     }
 
+    /// Arms slow-node service dilation: a batch whose compute starts at
+    /// `t` runs `plan.node_dilation(node, t)` times longer, where `node`
+    /// is the id set with [`EngineSession::set_trace_node`]. The extra
+    /// time lands in the fault ledger's `degraded_time`. A plan with no
+    /// slow-node window never dilates anything.
+    pub fn set_node_dilation(&mut self, plan: FaultPlan) {
+        self.node_dilation = (!plan.is_disabled()).then(|| Box::new(plan));
+    }
+
     /// Injection/recovery accounting accumulated so far. All-zero when
     /// no fault plan is armed.
     #[must_use]
@@ -1006,26 +1145,66 @@ impl<'a> EngineSession<'a> {
         });
     }
 
-    /// Live counters without consuming the session or cloning latency
-    /// ledgers.
+    /// The cumulative counters, without the latency summary
+    /// [`EngineSession::snapshot`] sorts for.
     #[must_use]
-    pub fn snapshot(&self) -> RunSnapshot {
-        RunSnapshot {
-            system: self.engine.config.name.clone(),
-            device: self.engine.device.name().to_string(),
-            task: self.label.clone(),
-            submitted: self.submitted_jobs.len(),
+    pub fn counters(&self) -> SessionCounters {
+        SessionCounters {
+            submitted: self.submitted(),
             completed: self.completed,
             failed: self.failed,
             admitted: self.admitted,
             dropped: self.dropped,
             stages_executed: self.stages_executed,
-            makespan: self.last_done.saturating_since(SimTime::ZERO),
+            last_done: self.last_done,
+            expert_switches: self.switch_events.len() as u64,
+            switch_time: self.execs.iter().map(|e| e.switch_time).sum(),
+            exec_time: self.execs.iter().map(|e| e.exec_time).sum(),
+        }
+    }
+
+    /// When the session expects to finish the work it holds, seen from
+    /// `at` (no earlier than the current time): the latest executor's
+    /// §4.2 work-left estimate — in-flight remainder plus queued runs
+    /// and their switches — and never before the last completion. An
+    /// idle session reports its last completion. Stages not yet queued
+    /// (future arrivals, later stages of running chains) are not
+    /// counted.
+    pub fn predicted_drain(&mut self, at: SimTime) -> SimTime {
+        if self.is_idle() {
+            return self.last_done;
+        }
+        let at = at.max(self.events.now());
+        let mut drain = self.last_done.max(at);
+        for exec_idx in 0..self.execs.len() {
+            drain = drain.max(at + self.predict_total(exec_idx, at));
+        }
+        drain
+    }
+
+    /// Live counters plus a latency summary, without consuming the
+    /// session or cloning latency ledgers. The summary sorts every
+    /// latency so far; per-interval telemetry should difference
+    /// [`EngineSession::counters`] instead.
+    #[must_use]
+    pub fn snapshot(&self) -> RunSnapshot {
+        let c = self.counters();
+        RunSnapshot {
+            system: self.engine.config.name.clone(),
+            device: self.engine.device.name().to_string(),
+            task: self.label.clone(),
+            submitted: c.submitted,
+            completed: c.completed,
+            failed: c.failed,
+            admitted: c.admitted,
+            dropped: c.dropped,
+            stages_executed: c.stages_executed,
+            makespan: c.last_done.saturating_since(SimTime::ZERO),
             pending_events: self.events.len(),
             completions_pending: self.completions.len(),
-            expert_switches: self.switch_events.len() as u64,
-            switch_time_total: self.execs.iter().map(|e| e.switch_time).sum(),
-            exec_time_total: self.execs.iter().map(|e| e.exec_time).sum(),
+            expert_switches: c.expert_switches,
+            switch_time_total: c.switch_time,
+            exec_time_total: c.exec_time,
             latency: coserve_metrics::stats::Summary::of_spans(&self.job_latencies),
         }
     }
@@ -1816,8 +1995,12 @@ impl<'a> EngineSession<'a> {
         }
 
         // Execute on the processor's compute channel (ground truth
-        // latency, not the profiler's estimate).
-        let exec_span = entry.kernel.latency(batch.len() as u32);
+        // latency, not the profiler's estimate), stretched while a
+        // slow-node window holds this node.
+        let mut exec_span = entry.kernel.latency(batch.len() as u32);
+        if self.node_dilation.is_some() {
+            exec_span = self.dilate_exec(exec_span, now, switch_busy);
+        }
         let mut exec_busy = SimSpan::ZERO;
         push_leg(&mut legs, &mut exec_busy, LegChannel::Compute, exec_span);
         let total = switch_busy + exec_busy;
@@ -1839,6 +2022,23 @@ impl<'a> EngineSession<'a> {
         self.events
             .push_lane(lane::NOW, now, Ev::Leg { exec: exec_idx });
         true
+    }
+
+    /// `exec_span` stretched by the slow-node factor holding this node
+    /// at `now`, with the extra time charged to the fault ledger.
+    #[cold]
+    fn dilate_exec(&mut self, exec_span: SimSpan, now: SimTime, switch_busy: SimSpan) -> SimSpan {
+        let factor = self.node_dilation.as_ref().map_or(1.0, |plan| {
+            plan.node_dilation(self.trace_node as usize, now)
+        });
+        if factor <= 1.0 {
+            return exec_span;
+        }
+        let slowed = SimSpan::from_nanos((exec_span.nanos() as f64 * factor).round() as u64);
+        self.fault_ledger.degraded_time += slowed.saturating_sub(exec_span);
+        self.fault_ledger.note_fault(now);
+        self.fault_ledger.note_recovery(now + switch_busy + slowed);
+        slowed
     }
 
     fn fail_batch(&mut self, batch: &[PendingRequest], now: SimTime) {
@@ -1962,7 +2162,7 @@ impl<'a> EngineSession<'a> {
             system: self.engine.config.name.clone(),
             device: self.engine.device.name().to_string(),
             task: self.label,
-            submitted: self.submitted_jobs.len(),
+            submitted: self.submitted_jobs.len() - self.withdrawn,
             completed: self.completed,
             failed: self.failed,
             admitted: self.admitted,
@@ -3013,5 +3213,159 @@ mod tests {
             slowed.makespan > baseline.makespan,
             "6x tier dilation must stretch the run"
         );
+    }
+
+    #[test]
+    fn withdrawn_jobs_leave_the_counters_and_the_session_idle() {
+        let (device, model, perf, stream) = setup(30, 200);
+        let config = SystemConfig::builder("online")
+            .gpu_executors(2)
+            .cpu_executors(1)
+            .admission(crate::config::AdmissionControl::with_queue_capacity(4))
+            .build();
+        let engine = Engine::new(&device, &model, &perf, &config).unwrap();
+        let mut session = engine.session("withdraw");
+        for job in stream.jobs() {
+            session.submit(job.arrival, &job.stages).unwrap();
+        }
+        session.pump_until(stream.jobs()[stream.len() / 2].arrival);
+        let before = session.counters();
+        let ids = session.withdraw_unfinished();
+        assert!(!ids.is_empty(), "half-way through, work must be open");
+        assert!(
+            ids.windows(2).all(|w| w[0] < w[1]),
+            "ids in submission order"
+        );
+        assert!(session.is_idle());
+        let after = session.counters();
+        assert_eq!(after.submitted, 200 - ids.len());
+        assert_eq!(
+            after.submitted,
+            after.completed + after.failed + after.dropped
+        );
+        assert_eq!(after.completed, before.completed);
+        assert!(after.admitted <= before.admitted);
+        assert!(after.admitted <= after.submitted);
+        // Withdrawn jobs produce no terminal records.
+        let drained = session.drain_completions();
+        assert_eq!(
+            drained.len(),
+            after.completed + after.failed + after.dropped
+        );
+        assert!(drained.iter().all(|c| !ids.contains(&c.job)));
+        // The session keeps serving: new work after the withdrawal
+        // completes and the report conserves jobs.
+        let now = session.now();
+        for job in stream.jobs().iter().take(20) {
+            session
+                .submit(
+                    now + job.arrival.saturating_since(SimTime::ZERO),
+                    &job.stages,
+                )
+                .unwrap();
+        }
+        session.pump();
+        let report = session.into_report();
+        assert_eq!(report.submitted, after.submitted + 20);
+        assert_eq!(
+            report.completed + report.failed + report.dropped,
+            report.submitted
+        );
+        let per_exec: u64 = report.executors.iter().map(|e| e.switches).sum();
+        assert_eq!(per_exec, report.expert_switches(), "switch ledger intact");
+    }
+
+    #[test]
+    fn reload_pools_restarts_cold_from_the_given_order() {
+        let (device, model, perf, stream) = setup(30, 60);
+        let config = coserve_config();
+        let engine = Engine::new(&device, &model, &perf, &config).unwrap();
+        let run = |order: Option<&[ExpertId]>| {
+            let mut session = engine.session("reload");
+            if let Some(order) = order {
+                session.reload_pools(order);
+            }
+            for job in stream.jobs() {
+                session.submit(job.arrival, &job.stages).unwrap();
+            }
+            session.pump();
+            session.into_report()
+        };
+        // Reloading the usage order a fresh session preloads changes
+        // nothing; reloading nothing leaves every pool cold.
+        let fresh = run(None);
+        assert_eq!(run(Some(perf.experts_by_usage())), fresh);
+        let cold = run(Some(&[]));
+        assert_eq!(cold.completed, fresh.completed);
+        assert!(cold.expert_switches() > fresh.expert_switches());
+    }
+
+    #[test]
+    fn node_dilation_stretches_compute_on_the_slow_node_only() {
+        let (device, model, perf, stream) = setup(30, 150);
+        let config = coserve_config();
+        let engine = Engine::new(&device, &model, &perf, &config).unwrap();
+        let plan =
+            FaultPlan::seeded(5).with_slow_nodes(vec![1], 3.0, coserve_faults::FaultWindow::ALWAYS);
+        let run = |node: u32, plan: Option<FaultPlan>| {
+            let mut session = engine.session(stream.name());
+            session.set_trace_node(node);
+            if let Some(plan) = plan {
+                session.set_node_dilation(plan);
+            }
+            for job in stream.jobs() {
+                session.submit(job.arrival, &job.stages).unwrap();
+            }
+            session.pump();
+            let ledger = *session.fault_ledger();
+            (session.into_report(), ledger)
+        };
+        let (plain, _) = run(1, None);
+        let (healthy, healthy_ledger) = run(0, Some(plan.clone()));
+        assert_eq!(healthy, plain, "node 0 is outside the slow set");
+        assert!(healthy_ledger.is_empty());
+        let (slowed, ledger) = run(1, Some(plan));
+        assert_eq!(slowed.completed, plain.completed);
+        // Slower compute also grows batches, so the total stretches by
+        // less than the factor.
+        assert!(slowed.exec_time_total > plain.exec_time_total);
+        assert!(slowed.makespan > plain.makespan);
+        assert!(ledger.degraded_time > SimSpan::ZERO);
+        assert!(ledger.recovery_span().is_some());
+        assert_eq!(ledger.injected(), 0, "the runtime counts slow node-ticks");
+    }
+
+    #[test]
+    fn counters_agree_with_the_snapshot_and_predict_the_drain() {
+        let (device, model, perf, stream) = setup(30, 120);
+        let config = coserve_config();
+        let engine = Engine::new(&device, &model, &perf, &config).unwrap();
+        let mut session = engine.session("counters");
+        assert_eq!(session.counters(), SessionCounters::default());
+        for job in stream.jobs() {
+            session.submit(job.arrival, &job.stages).unwrap();
+        }
+        let mid = stream.jobs()[stream.len() / 2].arrival;
+        session.pump_until(mid);
+        let c = session.counters();
+        let snap = session.snapshot();
+        assert_eq!(
+            (c.submitted, c.completed, c.failed, c.admitted, c.dropped),
+            (
+                snap.submitted,
+                snap.completed,
+                snap.failed,
+                snap.admitted,
+                snap.dropped
+            )
+        );
+        assert_eq!(c.stages_executed, snap.stages_executed);
+        assert_eq!(c.last_done.saturating_since(SimTime::ZERO), snap.makespan);
+        assert_eq!(c.expert_switches, snap.expert_switches);
+        assert_eq!(c.busy(), snap.switch_time_total + snap.exec_time_total);
+        assert!(session.predicted_drain(mid) >= mid, "backlog drains later");
+        session.pump();
+        let done = session.counters();
+        assert_eq!(session.predicted_drain(mid), done.last_done);
     }
 }

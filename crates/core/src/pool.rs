@@ -6,11 +6,14 @@
 //! eviction policies need — insertion sequence (FIFO), last-use time
 //! (LRU), and the resident set itself (dependency-aware eviction).
 //!
-//! Residency is stored as a dense expert-indexed table (`Vec<Option>`),
-//! not a map: the engine probes [`ModelPool::contains`] on every
-//! assignment prediction, so membership must be an O(1) slot read.
-//! Expert ids are dense model indices, which keeps the table small and
-//! iteration in id order trivially deterministic.
+//! Residency is stored as a dense expert-indexed table of positions
+//! into a list of resident records kept in expert-id order, not a map:
+//! the engine probes [`ModelPool::contains`] on every assignment
+//! prediction, so membership must be an O(1) slot read, and eviction
+//! scans the residents, so iteration walks only them, in id order
+//! (deterministic). Expert ids are dense model indices; a slot costs
+//! four bytes and only residents carry a full record, which keeps the
+//! many pools of a cluster's node sessions small.
 
 use std::fmt;
 
@@ -60,26 +63,29 @@ impl fmt::Display for PoolError {
 
 impl std::error::Error for PoolError {}
 
+/// A slot of the dense table that holds no resident.
+const EMPTY: u32 = u32::MAX;
+
 /// A model pool: experts resident in one executor's memory share.
 #[derive(Debug, Clone)]
 pub struct ModelPool {
     memory: MemoryPool,
-    /// Dense expert-indexed residency slots; grown on demand, `None`
-    /// for non-resident experts.
-    residents: Vec<Option<Resident>>,
-    /// Number of `Some` slots.
-    count: usize,
+    /// Dense expert-indexed table: the position of each resident
+    /// expert's record in `entries`, [`EMPTY`] otherwise; grown on
+    /// demand.
+    slots: Vec<u32>,
+    /// Resident records, sorted by expert id.
+    entries: Vec<(ExpertId, Resident)>,
     next_seq: u64,
 }
 
 /// Pools are equal when capacity, accounting and the resident set
-/// (with metadata) match; the dense table's trailing `None` slots are
-/// storage, not identity.
+/// (with metadata) match; the table layout is storage, not identity.
 impl PartialEq for ModelPool {
     fn eq(&self, other: &Self) -> bool {
         self.memory == other.memory
             && self.next_seq == other.next_seq
-            && self.count == other.count
+            && self.len() == other.len()
             && self.residents().eq(other.residents())
     }
 }
@@ -90,14 +96,23 @@ impl ModelPool {
     pub fn new(capacity: Bytes) -> Self {
         ModelPool {
             memory: MemoryPool::new(capacity),
-            residents: Vec::new(),
-            count: 0,
+            slots: Vec::new(),
+            entries: Vec::new(),
             next_seq: 0,
         }
     }
 
+    /// The position of `expert`'s record in `entries`, if resident.
+    fn position(&self, expert: ExpertId) -> Option<usize> {
+        match self.slots.get(expert.index()) {
+            Some(&pos) if pos != EMPTY => Some(pos as usize),
+            _ => None,
+        }
+    }
+
     fn slot(&self, expert: ExpertId) -> Option<&Resident> {
-        self.residents.get(expert.index()).and_then(Option::as_ref)
+        let pos = self.position(expert)?;
+        self.entries.get(pos).map(|(_, meta)| meta)
     }
 
     /// Pool capacity in bytes.
@@ -127,19 +142,19 @@ impl ModelPool {
     /// Number of resident experts.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.count
+        self.entries.len()
     }
 
     /// Whether no experts are resident.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.count == 0
+        self.entries.is_empty()
     }
 
     /// Whether `expert` is resident — an O(1) slot read.
     #[must_use]
     pub fn contains(&self, expert: ExpertId) -> bool {
-        self.slot(expert).is_some()
+        self.position(expert).is_some()
     }
 
     /// Whether an expert of the given size would fit right now.
@@ -156,10 +171,7 @@ impl ModelPool {
 
     /// Iterates residents in expert-id order (deterministic).
     pub fn residents(&self) -> impl Iterator<Item = (ExpertId, &Resident)> {
-        self.residents
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| r.as_ref().map(|r| (ExpertId(i as u32), r)))
+        self.entries.iter().map(|(expert, meta)| (*expert, meta))
     }
 
     /// Inserts `expert` with the given size.
@@ -186,26 +198,58 @@ impl ModelPool {
             })?;
         let seq = self.next_seq;
         self.next_seq += 1;
-        if self.residents.len() <= expert.index() {
-            self.residents.resize(expert.index() + 1, None);
+        if self.slots.len() <= expert.index() {
+            self.slots.resize(expert.index() + 1, EMPTY);
         }
-        self.residents[expert.index()] = Some(Resident {
-            bytes,
-            loaded_at: now,
-            seq,
-            last_used: now,
-            uses: 0,
-        });
-        self.count += 1;
+        let pos = self.entries.partition_point(|&(e, _)| e < expert);
+        self.entries.insert(
+            pos,
+            (
+                expert,
+                Resident {
+                    bytes,
+                    loaded_at: now,
+                    seq,
+                    last_used: now,
+                    uses: 0,
+                },
+            ),
+        );
+        self.renumber_from(pos);
         Ok(())
     }
 
     /// Removes `expert`, returning its metadata (or `None` if absent).
     pub fn remove(&mut self, expert: ExpertId) -> Option<Resident> {
-        let meta = self.residents.get_mut(expert.index())?.take()?;
-        self.count -= 1;
+        let pos = self.position(expert)?;
+        let (_, meta) = self.entries.remove(pos);
+        if let Some(slot) = self.slots.get_mut(expert.index()) {
+            *slot = EMPTY;
+        }
+        self.renumber_from(pos);
         self.memory.free(meta.bytes);
         Some(meta)
+    }
+
+    /// Points the slots of the records at `pos..` back at their
+    /// (shifted) positions.
+    fn renumber_from(&mut self, pos: usize) {
+        for (at, &(expert, _)) in self.entries.iter().enumerate().skip(pos) {
+            if let Some(slot) = self.slots.get_mut(expert.index()) {
+                *slot = at as u32;
+            }
+        }
+    }
+
+    /// Removes every resident (a cold restart); the lifetime peak and
+    /// the insertion sequence carry on.
+    pub fn clear(&mut self) {
+        for (expert, meta) in self.entries.drain(..) {
+            if let Some(slot) = self.slots.get_mut(expert.index()) {
+                *slot = EMPTY;
+            }
+            self.memory.free(meta.bytes);
+        }
     }
 
     /// Marks `expert` as used at `now` (LRU bookkeeping).
@@ -213,10 +257,9 @@ impl ModelPool {
     /// Touching an absent expert is an engine bug; flagged in debug
     /// builds and ignored in release builds.
     pub fn touch(&mut self, expert: ExpertId, now: SimTime) {
-        if let Some(meta) = self
-            .residents
-            .get_mut(expert.index())
-            .and_then(Option::as_mut)
+        if let Some((_, meta)) = self
+            .position(expert)
+            .and_then(|pos| self.entries.get_mut(pos))
         {
             meta.last_used = now;
             meta.uses += 1;
@@ -310,6 +353,28 @@ mod tests {
     }
 
     #[test]
+    fn removal_and_clear_keep_the_table_consistent() {
+        let mut p = ModelPool::new(Bytes::gib(1));
+        for i in [5u32, 1, 3, 8] {
+            p.insert(e(i), Bytes::mib(1), t(u64::from(i))).unwrap();
+        }
+        // Removing an early record shifts the later ones down.
+        p.remove(e(5)).unwrap();
+        p.touch(e(8), t(20));
+        assert_eq!(p.resident(e(8)).unwrap().last_used, t(20));
+        assert_eq!(p.resident(e(1)).unwrap().loaded_at, t(1));
+        let ids: Vec<ExpertId> = p.residents().map(|(id, _)| id).collect();
+        assert_eq!(ids, vec![e(1), e(3), e(8)]);
+        p.clear();
+        assert!(p.is_empty());
+        assert_eq!(p.used(), Bytes::ZERO);
+        assert_eq!(p.peak(), Bytes::mib(4));
+        assert!(!p.contains(e(3)));
+        p.insert(e(3), Bytes::mib(1), t(30)).unwrap();
+        assert_eq!(p.resident(e(3)).unwrap().seq, 4, "sequence carries on");
+    }
+
+    #[test]
     fn residents_iterate_in_id_order() {
         let mut p = ModelPool::new(Bytes::gib(1));
         for i in [5u32, 1, 3] {
@@ -344,6 +409,14 @@ mod proptests {
                 prop_assert_eq!(pool.used(), expected);
                 prop_assert!(pool.used() <= pool.capacity());
                 prop_assert_eq!(pool.len(), pool.residents().count());
+                // The slot table and the id-ordered records agree.
+                let ids: Vec<ExpertId> = pool.residents().map(|(e, _)| e).collect();
+                prop_assert!(ids.windows(2).all(|w| w[0] < w[1]));
+                for i in 0..12 {
+                    let e = ExpertId(i);
+                    prop_assert_eq!(pool.contains(e), ids.contains(&e));
+                    prop_assert_eq!(pool.resident(e).is_some(), ids.contains(&e));
+                }
             }
         }
     }

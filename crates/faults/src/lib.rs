@@ -23,9 +23,9 @@
 //! * **link faults** ([`FaultPlan::link`]) — a fabric link's bandwidth
 //!   dilates or the pair partitions entirely; consumed by the
 //!   dispatcher's hop charging and the runtime's migrations;
-//! * **slow nodes** ([`FaultPlan::node_dilation`]) — a node's service
-//!   rate dilates across a window; consumed by the cluster runtime's
-//!   per-tick accounting (and recovered from by dispatcher feedback);
+//! * **slow nodes** ([`FaultPlan::node_dilation`]) — a node's compute
+//!   dilates across a window; consumed by the engine's compute path in
+//!   each cluster node (and recovered from by dispatcher feedback);
 //! * **connection chaos** ([`FaultPlan::connection_chaos`]) — seeded
 //!   byte-stream mutilation (re-chunking, truncation, corruption,
 //!   mid-frame disconnects) for driving clients and protocol tests.

@@ -150,60 +150,6 @@ impl RunReport {
         }
     }
 
-    /// Folds another report for the *same* system/device into this one
-    /// — the cluster runtime's per-tick accounting: each control tick
-    /// produces one engine run per node, and the node's run-level
-    /// report is the tick reports merged. Counters and ledgers sum or
-    /// extend; the makespan takes the maximum (tick reports share the
-    /// global time origin); switch events are re-sorted chronologically;
-    /// executors merge by index and channels by name.
-    pub fn absorb(&mut self, other: RunReport) {
-        self.submitted += other.submitted;
-        self.completed += other.completed;
-        self.failed += other.failed;
-        self.admitted += other.admitted;
-        self.dropped += other.dropped;
-        self.stages_executed += other.stages_executed;
-        self.makespan = self.makespan.max(other.makespan);
-        self.switch_events.extend(other.switch_events);
-        self.switch_events
-            .sort_by_key(|s| (s.at, s.executor, s.expert));
-        self.switch_time_total += other.switch_time_total;
-        self.exec_time_total += other.exec_time_total;
-        self.job_latencies.extend(other.job_latencies);
-        for (stage, latencies) in other.stage_latencies {
-            self.stage_latencies
-                .entry(stage)
-                .or_default()
-                .extend(latencies);
-        }
-        self.sched_latencies.extend(other.sched_latencies);
-        for e in other.executors {
-            match self.executors.iter_mut().find(|x| x.index == e.index) {
-                Some(mine) => {
-                    mine.batches += e.batches;
-                    mine.items += e.items;
-                    mine.exec_time += e.exec_time;
-                    mine.switch_time += e.switch_time;
-                    mine.switches += e.switches;
-                    mine.pool_peak = mine.pool_peak.max(e.pool_peak);
-                    mine.finished_at = mine.finished_at.max(e.finished_at);
-                }
-                None => self.executors.push(e),
-            }
-        }
-        self.executors.sort_by_key(|e| e.index);
-        for c in other.channels {
-            match self.channels.iter_mut().find(|x| x.name == c.name) {
-                Some(mine) => {
-                    mine.busy += c.busy;
-                    mine.reservations += c.reservations;
-                }
-                None => self.channels.push(c),
-            }
-        }
-    }
-
     /// Throughput in images (primary requests) per second — the paper's
     /// headline metric.
     ///
@@ -747,51 +693,6 @@ mod tests {
         r.job_latencies.clear();
         r.sched_latencies.clear();
         assert!(r.to_json().contains("\"latency\":null"));
-    }
-
-    #[test]
-    fn absorb_sums_counters_and_merges_ledgers() {
-        let mut a = sample_report();
-        let mut b = sample_report();
-        // The second tick ran later: its makespan extends the run.
-        b.makespan = SimSpan::from_secs(14);
-        b.switch_events[0].at = SimTime::ZERO + SimSpan::from_secs(11);
-        b.executors[0].finished_at = SimTime::ZERO + SimSpan::from_secs(14);
-        b.executors.push(ExecutorReport {
-            index: 1,
-            processor: ProcessorKind::Cpu,
-            batches: 5,
-            items: 10,
-            exec_time: SimSpan::from_secs(1),
-            switch_time: SimSpan::ZERO,
-            switches: 0,
-            pool_capacity: Bytes::gib(1),
-            pool_peak: Bytes::gib(1),
-            finished_at: SimTime::ZERO + SimSpan::from_secs(3),
-        });
-        a.absorb(b);
-        assert_eq!(a.submitted, 200);
-        assert_eq!(a.completed, 200);
-        assert_eq!(a.stages_executed, 300);
-        assert_eq!(a.makespan, SimSpan::from_secs(14));
-        assert_eq!(a.expert_switches(), 4);
-        // Ledgers concatenate; switch events stay chronological.
-        assert_eq!(a.job_latencies.len(), 4);
-        assert_eq!(a.stage_latencies[&0].len(), 4);
-        assert_eq!(a.stage_latencies[&1].len(), 2);
-        assert!(a.switch_events.windows(2).all(|w| w[0].at <= w[1].at));
-        // Executor 0 merged by index, executor 1 appended.
-        assert_eq!(a.executors.len(), 2);
-        assert_eq!(a.executors[0].batches, 40);
-        assert_eq!(
-            a.executors[0].finished_at,
-            SimTime::ZERO + SimSpan::from_secs(14)
-        );
-        assert_eq!(a.executors[1].items, 10);
-        // Channels merged by name.
-        assert_eq!(a.channels.len(), 1);
-        assert_eq!(a.channels[0].reservations, 40);
-        assert_eq!(a.channels[0].busy, SimSpan::from_secs(4));
     }
 
     #[test]

@@ -104,18 +104,24 @@ impl Summary {
         }
         let mut sorted = values.to_vec();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
+        Some(Summary::of_sorted(&sorted))
+    }
+
+    /// Summarizes an ascending, non-empty sample. The mean sums in
+    /// ascending order, so every constructor agrees bit for bit.
+    fn of_sorted(sorted: &[f64]) -> Summary {
         let count = sorted.len();
         let mean = sorted.iter().sum::<f64>() / count as f64;
-        Some(Summary {
+        Summary {
             count,
             mean,
             min: sorted[0],
-            p50: percentile_sorted(&sorted, 50.0),
-            p90: percentile_sorted(&sorted, 90.0),
-            p95: percentile_sorted(&sorted, 95.0),
-            p99: percentile_sorted(&sorted, 99.0),
+            p50: percentile_sorted(sorted, 50.0),
+            p90: percentile_sorted(sorted, 90.0),
+            p95: percentile_sorted(sorted, 95.0),
+            p99: percentile_sorted(sorted, 99.0),
             max: sorted[count - 1],
-        })
+        }
     }
 
     /// Whether every statistic is a finite number — the invariant the
@@ -129,11 +135,22 @@ impl Summary {
         .all(|v| v.is_finite())
     }
 
-    /// Summarizes a sample of spans, in milliseconds.
+    /// Summarizes a sample of spans, in milliseconds. Sorts the integer
+    /// nanoseconds and converts once: the nanosecond-to-millisecond map
+    /// is monotone, so the result equals [`Summary::of`] over the
+    /// converted sample bit for bit.
     #[must_use]
     pub fn of_spans(spans: &[SimSpan]) -> Option<Summary> {
-        let values: Vec<f64> = spans.iter().map(|s| s.as_millis_f64()).collect();
-        Summary::of(&values)
+        if spans.is_empty() {
+            return None;
+        }
+        let mut nanos: Vec<u64> = spans.iter().map(|s| s.nanos()).collect();
+        nanos.sort_unstable();
+        let sorted: Vec<f64> = nanos
+            .into_iter()
+            .map(|n| SimSpan::from_nanos(n).as_millis_f64())
+            .collect();
+        Some(Summary::of_sorted(&sorted))
     }
 }
 
@@ -281,6 +298,25 @@ mod proptests {
             let fit = linear_fit(&pts).unwrap();
             prop_assert!((fit.slope - slope).abs() < 1e-6 * (1.0 + slope.abs()));
             prop_assert!((fit.intercept - intercept).abs() < 1e-6 * (1.0 + intercept.abs()));
+        }
+
+        /// Summarizing spans equals summarizing their millisecond
+        /// values, bit for bit.
+        #[test]
+        fn of_spans_matches_of_millis(
+            nanos in proptest::collection::vec(0u64..5_000_000_000, 0..80),
+        ) {
+            let spans: Vec<SimSpan> = nanos.iter().map(|&n| SimSpan::from_nanos(n)).collect();
+            let millis: Vec<f64> = spans.iter().map(|s| s.as_millis_f64()).collect();
+            let bits = |s: Option<Summary>| {
+                s.map(|s| {
+                    (
+                        s.count,
+                        [s.mean, s.min, s.p50, s.p90, s.p95, s.p99, s.max].map(f64::to_bits),
+                    )
+                })
+            };
+            prop_assert_eq!(bits(Summary::of_spans(&spans)), bits(Summary::of(&millis)));
         }
 
         /// Percentiles are bounded by the sample extremes and monotone

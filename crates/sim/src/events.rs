@@ -354,6 +354,17 @@ impl<E> Calendar<E> {
     pub fn now(&self) -> SimTime {
         self.last_popped
     }
+
+    /// Removes every pending event, yielding them in no particular
+    /// order. "Now" and the sequence counter carry on, so later pushes
+    /// order exactly as if the removed events had never been
+    /// scheduled.
+    pub fn drain(&mut self) -> impl Iterator<Item = Scheduled<E>> + '_ {
+        self.fronts.fill(EMPTY_KEY);
+        self.len = 0;
+        let lanes = self.lanes.iter_mut().flat_map(|lane| lane.drain(..));
+        lanes.chain(self.heap.drain().map(|entry| entry.0))
+    }
 }
 
 #[cfg(test)]
@@ -474,6 +485,27 @@ mod tests {
         assert_eq!(c.peek_time(), Some(SimTime::from_nanos(20)));
         assert_eq!(c.pop_before(SimTime::from_nanos(21)).unwrap().payload, 2);
         assert!(c.is_empty());
+    }
+
+    #[test]
+    fn calendar_drain_empties_every_container_and_keeps_the_clock() {
+        let mut cal: Calendar<u32> = Calendar::new(2);
+        cal.push_lane(0, SimTime::from_nanos(5), 1);
+        assert_eq!(cal.pop().map(|e| e.payload), Some(1));
+        cal.push_lane(0, SimTime::from_nanos(9), 2);
+        cal.push_lane(0, SimTime::from_nanos(7), 3); // heap fallback
+        let mut drained: Vec<u32> = cal.drain().map(|e| e.payload).collect();
+        drained.sort_unstable();
+        assert_eq!(drained, vec![2, 3]);
+        assert!(cal.is_empty());
+        assert_eq!(cal.peek_time(), None);
+        assert_eq!(cal.now(), SimTime::from_nanos(5));
+        cal.push_lane(1, SimTime::from_nanos(6), 4);
+        assert_eq!(
+            cal.pop().map(|e| (e.at, e.payload)),
+            Some((SimTime::from_nanos(6), 4))
+        );
+        assert_eq!(cal.pop().map(|e| e.payload), None);
     }
 
     #[test]
