@@ -448,16 +448,15 @@ struct ExecState {
     /// never rescans the queue. Exact: spans are integer nanoseconds,
     /// so incremental add/subtract reproduces a fresh sum bit for bit.
     work_exec: SimSpan,
-    /// Cached predicted switch span per distinct queued expert, sorted
-    /// by expert id (a reusable sorted vec, not a map, so steady state
-    /// allocates nothing).
+    /// Predicted switch span per distinct queued expert, sorted by
+    /// expert id (a reusable sorted vec, not a map, so steady state
+    /// allocates nothing). Always exact: an entry is added when its
+    /// expert joins the queue, dropped when it leaves, and re-predicted
+    /// whenever that expert's residency changes — in this pool or in
+    /// the shared staging cache — so no change ever rescans the queue.
     switch_spans: Vec<(ExpertId, SimSpan)>,
-    /// Σ of `switch_spans` values.
+    /// Σ of `switch_spans` values, kept in step with every entry change.
     switch_total: SimSpan,
-    /// Set whenever residency changes (this pool, or the shared staging
-    /// cache) could invalidate `switch_spans`; the next prediction
-    /// rebuilds the cache from the queue's distinct-expert index.
-    switch_dirty: bool,
 }
 
 /// Per-job terminal flags packed into one byte — the jobs table is a
@@ -673,6 +672,8 @@ pub struct EngineSession<'a> {
     evict_scratch: EvictionScratch,
     /// Reusable protected-expert set for eviction calls.
     protected_scratch: BTreeSet<ExpertId>,
+    /// Reusable list of the staging-cache entries one insert evicted.
+    cache_evicted: Vec<ExpertId>,
     /// Structured-event sink; [`NoopTracer`] unless a collector was
     /// installed with [`EngineSession::set_tracer`]. Every emission
     /// site is guarded by the cached `tracing` flag, so the disabled
@@ -732,7 +733,6 @@ impl<'a> EngineSession<'a> {
                 work_exec: SimSpan::ZERO,
                 switch_spans: Vec::new(),
                 switch_total: SimSpan::ZERO,
-                switch_dirty: false,
             })
             .collect();
         let cache = if engine.device.has_staging_cache() {
@@ -824,6 +824,7 @@ impl<'a> EngineSession<'a> {
             legs_pool: Vec::new(),
             evict_scratch: EvictionScratch::new(),
             protected_scratch: BTreeSet::new(),
+            cache_evicted: Vec::new(),
             tracer: Box::new(NoopTracer),
             tracing: false,
             trace_node: 0,
@@ -866,9 +867,16 @@ impl<'a> EngineSession<'a> {
     /// idle session; counters, ledgers and the clock carry on.
     pub fn reload_pools(&mut self, order: &[ExpertId]) {
         debug_assert!(self.is_idle(), "reload_pools on a busy session");
+        // Empty queues hold no switch predictions that residency could
+        // change.
+        debug_assert!(
+            self.execs
+                .iter()
+                .all(|e| e.queue.is_empty() && e.switch_spans.is_empty()),
+            "reload_pools with queued work"
+        );
         for exec in &mut self.execs {
             exec.pool.clear();
-            exec.switch_dirty = true;
         }
         if let Some(cache) = &mut self.cache {
             cache.clear();
@@ -1066,7 +1074,6 @@ impl<'a> EngineSession<'a> {
             exec.work_exec = SimSpan::ZERO;
             exec.switch_spans.clear();
             exec.switch_total = SimSpan::ZERO;
-            exec.switch_dirty = false;
         }
         ids
     }
@@ -1170,7 +1177,7 @@ impl<'a> EngineSession<'a> {
     /// idle session reports its last completion. Stages not yet queued
     /// (future arrivals, later stages of running chains) are not
     /// counted.
-    pub fn predicted_drain(&mut self, at: SimTime) -> SimTime {
+    pub fn predicted_drain(&self, at: SimTime) -> SimTime {
         if self.is_idle() {
             return self.last_done;
         }
@@ -1522,15 +1529,12 @@ impl<'a> EngineSession<'a> {
     fn apply_insert_delta(&mut self, exec_idx: usize, delta: RunDelta) {
         let before = self.run_exec_span(exec_idx, delta.expert, delta.len_before);
         let after = self.run_exec_span(exec_idx, delta.expert, delta.len_after);
-        let newly_queued = delta.membership_changed && !self.execs[exec_idx].switch_dirty;
-        let switch = if newly_queued {
-            self.predicted_switch(exec_idx, delta.expert)
-        } else {
-            SimSpan::ZERO
-        };
+        let newly_queued = delta
+            .membership_changed
+            .then(|| self.predicted_switch(exec_idx, delta.expert));
         let exec = &mut self.execs[exec_idx];
         exec.work_exec = exec.work_exec + after - before;
-        if newly_queued {
+        if let Some(switch) = newly_queued {
             match exec
                 .switch_spans
                 .binary_search_by_key(&delta.expert, |&(e, _)| e)
@@ -1551,7 +1555,7 @@ impl<'a> EngineSession<'a> {
         let after = self.run_exec_span(exec_idx, delta.expert, delta.len_after);
         let exec = &mut self.execs[exec_idx];
         exec.work_exec = exec.work_exec + after - before;
-        if delta.membership_changed && !exec.switch_dirty {
+        if delta.membership_changed {
             if let Ok(pos) = exec
                 .switch_spans
                 .binary_search_by_key(&delta.expert, |&(e, _)| e)
@@ -1562,42 +1566,34 @@ impl<'a> EngineSession<'a> {
         }
     }
 
-    /// Rebuilds an executor's cached switch spans from the queue's
-    /// distinct-expert index — called lazily after residency changed.
-    fn refresh_switch_cache(&mut self, exec_idx: usize) {
-        let mut spans = std::mem::take(&mut self.execs[exec_idx].switch_spans);
-        spans.clear();
-        let mut total = SimSpan::ZERO;
-        for expert in self.execs[exec_idx].queue.queued_experts() {
-            let span = self.predicted_switch(exec_idx, expert);
-            // `queued_experts` yields in ascending id order, so pushing
-            // keeps the vec sorted for binary search.
-            spans.push((expert, span));
-            total += span;
-        }
-        let exec = &mut self.execs[exec_idx];
-        exec.switch_spans = spans;
-        exec.switch_total = total;
-        exec.switch_dirty = false;
-    }
-
-    /// Marks every executor's switch cache stale — the shared staging
-    /// cache changed, which can retier any queued expert's load.
-    fn mark_all_switch_dirty(&mut self) {
-        for exec in &mut self.execs {
-            exec.switch_dirty = true;
+    /// Re-predicts `expert`'s switch span on executor `exec_idx` after
+    /// its residency changed (in that pool or in the staging cache).
+    /// Only a queued expert carries a span; others cost one probe.
+    fn repredict_switch(&mut self, exec_idx: usize, expert: ExpertId) {
+        let queued = self.execs.get(exec_idx).and_then(|exec| {
+            exec.switch_spans
+                .binary_search_by_key(&expert, |&(e, _)| e)
+                .ok()
+        });
+        let Some(pos) = queued else {
+            return;
+        };
+        let span = self.predicted_switch(exec_idx, expert);
+        let Some(exec) = self.execs.get_mut(exec_idx) else {
+            return;
+        };
+        if let Some((_, old)) = exec.switch_spans.get_mut(pos) {
+            exec.switch_total = exec.switch_total - *old + span;
+            *old = span;
         }
     }
 
     /// Predicted total remaining inference time of an executor queue
     /// (§4.2): in-flight remainder plus, per same-expert run, the linear
     /// execution estimate and at most one expert switch. Served from
-    /// the incrementally maintained aggregates in O(1) (amortized);
-    /// debug builds verify them against a from-scratch recomputation.
-    fn predict_total(&mut self, exec_idx: usize, now: SimTime) -> SimSpan {
-        if self.execs[exec_idx].switch_dirty {
-            self.refresh_switch_cache(exec_idx);
-        }
+    /// the incrementally maintained aggregates in O(1); debug builds
+    /// verify them against a from-scratch recomputation.
+    fn predict_total(&self, exec_idx: usize, now: SimTime) -> SimSpan {
         #[cfg(debug_assertions)]
         self.debug_verify_aggregates(exec_idx);
         let exec = &self.execs[exec_idx];
@@ -1619,11 +1615,7 @@ impl<'a> EngineSession<'a> {
             }
         }
         debug_assert_eq!(exec.work_exec, fresh_exec, "work_exec aggregate drifted");
-        debug_assert_eq!(
-            exec.switch_total, fresh_switch,
-            "switch aggregate drifted (dirty={})",
-            exec.switch_dirty
-        );
+        debug_assert_eq!(exec.switch_total, fresh_switch, "switch aggregate drifted");
     }
 
     /// Predicted additional latency of appending a request for `expert`
@@ -1851,6 +1843,7 @@ impl<'a> EngineSession<'a> {
                     .pool
                     .remove(victim)
                     .expect("victims are resident");
+                self.repredict_switch(exec_idx, victim);
                 if self.tracing {
                     self.emit(
                         now,
@@ -1972,9 +1965,8 @@ impl<'a> EngineSession<'a> {
                 .pool
                 .insert(expert, weights, now)
                 .expect("eviction freed enough space");
-            // This pool's residency changed (evictions + the load):
-            // cached switch predictions for its queue are stale.
-            self.execs[exec_idx].switch_dirty = true;
+            // Leftover requests for the loaded expert now switch free.
+            self.repredict_switch(exec_idx, expert);
             self.execs[exec_idx].switches += 1;
             self.execs[exec_idx].switch_time += switch_busy;
             pending_switch = Some(PendingSwitch {
@@ -2080,7 +2072,8 @@ impl<'a> EngineSession<'a> {
         if bytes > cache.capacity() {
             return;
         }
-        let mut cache_evicted: Vec<ExpertId> = Vec::new();
+        let mut evicted = std::mem::take(&mut self.cache_evicted);
+        evicted.clear();
         while !cache.fits(bytes) {
             let lru = cache
                 .residents()
@@ -2088,22 +2081,26 @@ impl<'a> EngineSession<'a> {
                 .map(|(e, _)| e)
                 .expect("cache is non-empty while it does not fit");
             cache.remove(lru);
-            if self.tracing {
-                cache_evicted.push(lru);
-            }
+            evicted.push(lru);
         }
         cache
             .insert(expert, bytes, now)
             .expect("fits after eviction");
         if self.tracing {
-            for victim in cache_evicted {
+            for &victim in &evicted {
                 self.emit(now, TraceKind::CacheEvicted { expert: victim });
             }
             self.emit(now, TraceKind::CacheInserted { expert });
         }
-        // Staging-cache membership changed: any executor's queued
-        // experts may now load from a different tier.
-        self.mark_all_switch_dirty();
+        // Staging-cache membership changed: these experts may now load
+        // from a different tier on any executor.
+        for exec_idx in 0..self.execs.len() {
+            for &victim in &evicted {
+                self.repredict_switch(exec_idx, victim);
+            }
+            self.repredict_switch(exec_idx, expert);
+        }
+        self.cache_evicted = evicted;
     }
 
     /// Consumes the session into the classic batch [`RunReport`]. The

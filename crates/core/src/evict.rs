@@ -22,9 +22,10 @@ use std::fmt;
 use coserve_model::coe::CoeModel;
 use coserve_model::expert::ExpertId;
 use coserve_sim::memory::Bytes;
+use coserve_sim::time::SimTime;
 
 use crate::perf::PerfMatrix;
-use crate::pool::ModelPool;
+use crate::pool::{ModelPool, Resident};
 
 /// Which eviction policy an executor uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,15 +80,22 @@ pub struct EvictionContext<'a> {
     pub protected: &'a BTreeSet<ExpertId>,
 }
 
+/// An LRU/FIFO/LFU candidate's rank: `(uses, last_used, seq)`, with
+/// the fields a policy ignores held at zero. `seq` is unique per pool,
+/// so no two candidates tie.
+type RankKey = (u64, SimTime, u64);
+
 /// Reusable scratch buffers for victim selection, so the eviction hot
-/// path allocates nothing in steady state: the candidate ordering and
-/// the victim list both live in buffers the caller keeps across
-/// evictions.
+/// path allocates nothing in steady state: the candidates and the
+/// victim list all live in buffers the caller keeps across evictions.
+/// Each candidate's size and rank are read from the pool once, when it
+/// enters a buffer.
 #[derive(Debug, Clone, Default)]
 pub struct EvictionScratch {
-    /// Candidate ordering buffer (stage-1 orphans, or the LRU/FIFO/LFU
-    /// sort).
-    order: Vec<ExpertId>,
+    /// Stage-1 orphans as `(bytes, id)`.
+    orphans: Vec<(Bytes, ExpertId)>,
+    /// LRU/FIFO/LFU candidates as `(rank, bytes, id)`.
+    ranked: Vec<(RankKey, Bytes, ExpertId)>,
     /// The victims selected by the last call, in eviction order.
     victims: Vec<ExpertId>,
 }
@@ -169,9 +177,8 @@ pub fn select_victims_into(
         return Ok(());
     }
     let victims = &mut scratch.victims;
-    let mut freed = Bytes::ZERO;
 
-    match policy {
+    let freed = match policy {
         EvictionPolicy::DependencyAware => {
             // Stage 1: orphaned subsequent experts, as a minimal
             // sufficient set. Plain biggest-first over-evicts: with
@@ -181,42 +188,42 @@ pub fn select_victims_into(
             // still needed, take the biggest (fewest evictions);
             // once one does, take the *smallest* single orphan that
             // covers the remainder and stop.
-            scratch.order.clear();
+            let mut freed = Bytes::ZERO;
+            scratch.orphans.clear();
+            scratch.orphans.extend(
+                pool.residents()
+                    .filter(|&(e, _)| {
+                        !ctx.protected.contains(&e)
+                            && ctx
+                                .model
+                                .graph()
+                                .is_orphaned_subsequent(e, |p| pool.contains(p))
+                    })
+                    .map(|(e, r)| (r.bytes, e)),
+            );
             scratch
-                .order
-                .extend(pool.residents().map(|(e, _)| e).filter(|&e| {
-                    !ctx.protected.contains(&e)
-                        && ctx
-                            .model
-                            .graph()
-                            .is_orphaned_subsequent(e, |p| pool.contains(p))
-                }));
-            scratch.order.sort_unstable_by(|&a, &b| {
-                let ba = pool.resident(a).expect("resident").bytes;
-                let bb = pool.resident(b).expect("resident").bytes;
-                bb.cmp(&ba).then(a.cmp(&b))
-            });
-            // `lo` is the deque head: popping the biggest remaining
+                .orphans
+                .sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+            // `rest` is the deque head: taking the biggest remaining
             // orphan advances it without shifting the buffer.
-            let mut lo = 0usize;
-            while freed < need && lo < scratch.order.len() {
+            let mut rest = scratch.orphans.as_slice();
+            while let Some((&biggest, tail)) = rest.split_first() {
+                if freed >= need {
+                    break;
+                }
                 let still_needed = need - freed;
                 // The list is sorted descending, so the last element
                 // that covers `still_needed` is the smallest sufficient
-                // one.
-                let sufficient = scratch.order[lo..]
+                // one (and taking it ends the loop).
+                let (bytes, chosen) = rest
                     .iter()
-                    .rposition(|&e| pool.resident(e).expect("resident").bytes >= still_needed);
-                let chosen = match sufficient {
-                    Some(off) => scratch.order.remove(lo + off),
-                    None => {
-                        let c = scratch.order[lo];
-                        lo += 1;
-                        c
-                    }
-                };
-                freed += pool.resident(chosen).expect("resident").bytes;
+                    .rev()
+                    .find(|&&(b, _)| b >= still_needed)
+                    .copied()
+                    .unwrap_or(biggest);
+                freed += bytes;
                 victims.push(chosen);
+                rest = tail;
             }
 
             // Stage 2: everything else, least-probable first — walked
@@ -238,39 +245,18 @@ pub fn select_victims_into(
                     freed += meta.bytes;
                 }
             }
+            freed
         }
-        EvictionPolicy::Lru | EvictionPolicy::Fifo | EvictionPolicy::Lfu => {
-            scratch.order.clear();
-            scratch.order.extend(
-                pool.residents()
-                    .map(|(e, _)| e)
-                    .filter(|e| !ctx.protected.contains(e)),
-            );
-            scratch.order.sort_unstable_by(|&a, &b| {
-                let ra = pool.resident(a).expect("resident");
-                let rb = pool.resident(b).expect("resident");
-                match policy {
-                    EvictionPolicy::Lru => {
-                        ra.last_used.cmp(&rb.last_used).then(ra.seq.cmp(&rb.seq))
-                    }
-                    EvictionPolicy::Fifo => ra.seq.cmp(&rb.seq),
-                    EvictionPolicy::Lfu => ra
-                        .uses
-                        .cmp(&rb.uses)
-                        .then(ra.last_used.cmp(&rb.last_used))
-                        .then(ra.seq.cmp(&rb.seq)),
-                    EvictionPolicy::DependencyAware => unreachable!(),
-                }
-            });
-            for &e in &scratch.order {
-                if freed >= need {
-                    break;
-                }
-                victims.push(e);
-                freed += pool.resident(e).expect("resident").bytes;
-            }
-        }
-    }
+        EvictionPolicy::Lru => take_least(pool, need, ctx, &mut scratch.ranked, victims, |r| {
+            (0, r.last_used, r.seq)
+        }),
+        EvictionPolicy::Fifo => take_least(pool, need, ctx, &mut scratch.ranked, victims, |r| {
+            (0, SimTime::ZERO, r.seq)
+        }),
+        EvictionPolicy::Lfu => take_least(pool, need, ctx, &mut scratch.ranked, victims, |r| {
+            (r.uses, r.last_used, r.seq)
+        }),
+    };
 
     if freed < need {
         victims.clear();
@@ -279,6 +265,42 @@ pub fn select_victims_into(
         });
     }
     Ok(())
+}
+
+/// Ranks the unprotected residents by `rank` and appends the least
+/// ones to `victims` until `need` bytes are freed or none remain;
+/// returns the bytes freed. Keys are unique, so taking minima one at a
+/// time yields exactly the prefix a full sort would, at O(victims ×
+/// residents) instead of a sort per selection.
+fn take_least(
+    pool: &ModelPool,
+    need: Bytes,
+    ctx: &EvictionContext<'_>,
+    ranked: &mut Vec<(RankKey, Bytes, ExpertId)>,
+    victims: &mut Vec<ExpertId>,
+    rank: impl Fn(&Resident) -> RankKey,
+) -> Bytes {
+    ranked.clear();
+    ranked.extend(
+        pool.residents()
+            .filter(|(e, _)| !ctx.protected.contains(e))
+            .map(|(e, r)| (rank(r), r.bytes, e)),
+    );
+    let mut freed = Bytes::ZERO;
+    while freed < need {
+        let least = ranked
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, c)| c.0)
+            .map(|(pos, _)| pos);
+        let Some(pos) = least else {
+            break;
+        };
+        let (_, bytes, e) = ranked.swap_remove(pos);
+        victims.push(e);
+        freed += bytes;
+    }
+    freed
 }
 
 #[cfg(test)]
@@ -766,18 +788,21 @@ mod proptests {
         /// pre-refactor per-call-sort implementation returned, for every
         /// policy, over arbitrary pools, needs, touch histories and
         /// protected sets — including reusing one scratch across calls.
+        /// Ten experts and needs up to most of the pool exercise
+        /// multi-victim selection; touch times from a small range make
+        /// `last_used` (and `uses`) ties that only `seq` breaks.
         #[test]
         fn scratch_path_matches_reference(
-            resident_mask in 0u32..64,
-            touches in proptest::collection::vec((0u32..6, 1u64..50), 0..12),
-            need_mib in 1u64..600,
-            protect_sel in 0u32..7,
+            resident_mask in 0u32..1024,
+            touches in proptest::collection::vec((0u32..10, 1u64..4), 0..16),
+            need_mib in 1u64..1600,
+            protect_sel in 0u32..11,
             policy_sel in 0u8..4,
         ) {
-            let model = chain_model(5);
+            let model = chain_model(9);
             let perf = PerfMatrix::from_model_with("dev", &model, |_, _| None);
             let mut pool = ModelPool::new(Bytes::gib(4));
-            for i in 0..6u32 {
+            for i in 0..10u32 {
                 if resident_mask & (1 << i) != 0 {
                     let bytes = Bytes::mib(60 + 40 * u64::from(i));
                     pool.insert(ExpertId(i), bytes, SimTime::ZERO).unwrap();
@@ -789,7 +814,7 @@ mod proptests {
                 }
             }
             let mut protected = BTreeSet::new();
-            if protect_sel < 6 && pool.contains(ExpertId(protect_sel)) {
+            if protect_sel < 10 && pool.contains(ExpertId(protect_sel)) {
                 protected.insert(ExpertId(protect_sel));
             }
             let ctx = EvictionContext { model: &model, perf: &perf, protected: &protected };
