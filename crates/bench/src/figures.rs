@@ -852,8 +852,8 @@ pub fn fig22_failure_recovery() -> (Table, Vec<(String, String)>) {
 /// The CSV holds only simulation-deterministic columns, so it is
 /// byte-identical at any sweep width (pinned by
 /// `tests/parallel_figures.rs`). The wall-clock measurements — the
-/// point of the figure, but machine-dependent by nature, like
-/// `BENCH_core.json` — go into the JSON artifact.
+/// point of the figure, but machine-dependent by nature — go into the
+/// JSON artifact.
 #[must_use]
 pub fn fig23_engine_scale() -> (Table, Vec<(String, String)>) {
     let mut t = Table::new(

@@ -248,5 +248,4 @@ mod tests {
     }
 }
 pub mod figures;
-pub mod perf_report;
 pub mod sweep;

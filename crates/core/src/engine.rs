@@ -1007,20 +1007,6 @@ impl<'a> EngineSession<'a> {
         n
     }
 
-    /// Swaps the session's calendar for a reference (single-heap) one —
-    /// behaviourally a plain [`coserve_sim::events::EventQueue`]. The
-    /// equivalence tests run whole sessions both ways and require
-    /// bit-identical reports and traces. Must be called before the
-    /// first submission.
-    #[doc(hidden)]
-    pub fn use_reference_calendar(&mut self) {
-        assert!(
-            self.events.is_empty() && self.submitted_jobs.is_empty(),
-            "switch calendars only on a fresh session"
-        );
-        self.events = Calendar::reference(lane::COUNT);
-    }
-
     /// Takes back every job that has not reached a terminal state —
     /// not yet arrived, queued or in a running batch — and returns
     /// their ids in submission order. Withdrawn jobs leave the
@@ -2175,6 +2161,21 @@ impl<'a> EngineSession<'a> {
             executors,
             channels,
         }
+    }
+}
+
+#[cfg(test)]
+impl EngineSession<'_> {
+    /// Swaps the session's calendar for a reference (single-heap) one —
+    /// behaviourally a plain binary-heap event queue. The equivalence
+    /// tests run whole sessions both ways and require bit-identical
+    /// reports and traces. Must be called before the first submission.
+    pub fn use_reference_calendar(&mut self) {
+        assert!(
+            self.events.is_empty() && self.submitted_jobs.is_empty(),
+            "switch calendars only on a fresh session"
+        );
+        self.events = Calendar::reference(lane::COUNT);
     }
 }
 

@@ -35,7 +35,7 @@
 //! oldest and therefore carries the run's maximum effective count,
 //! which makes the bound check O(runs), not O(requests).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use coserve_model::expert::ExpertId;
 use coserve_sim::time::SimTime;
@@ -399,6 +399,7 @@ impl ExecutorQueue {
 
     /// Recomputes the run structure from scratch by scanning the queue —
     /// the reference the incremental index is pinned against in tests.
+    #[cfg(test)]
     #[must_use]
     pub fn recompute_runs(&self) -> Vec<(ExpertId, u32)> {
         let mut out: Vec<(ExpertId, u32)> = Vec::new();
@@ -412,9 +413,11 @@ impl ExecutorQueue {
     }
 
     /// Panics unless the incremental index exactly matches a from-
-    /// scratch recomputation. Test/debug aid.
-    #[doc(hidden)]
+    /// scratch recomputation. Test aid.
+    #[cfg(test)]
     pub fn assert_index_consistent(&self) {
+        use std::collections::BTreeMap;
+
         let fresh = self.recompute_runs();
         assert_eq!(self.runs(), fresh, "run deque diverged from queue");
         assert_eq!(

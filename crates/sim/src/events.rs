@@ -1,25 +1,24 @@
-//! The discrete-event queue and the multi-lane event calendar.
+//! The multi-lane discrete-event calendar.
 //!
-//! A simulation run is a loop over an [`EventQueue`]: pop the earliest
+//! A simulation run is a loop over a [`Calendar`]: pop the earliest
 //! event, advance the clock to its timestamp, handle it, possibly push
 //! more events. Events at the same timestamp pop in insertion order
 //! (FIFO), which makes runs fully deterministic — an essential property
 //! for reproducing schedules and for the determinism tests.
 //!
-//! [`Calendar`] is the high-throughput sibling used by the engine's hot
-//! loop: the same `(time, seq)` pop contract, but pushes whose source is
-//! known to emit in non-decreasing time order land in O(1) FIFO *lanes*
-//! instead of the heap. See the type-level docs for the determinism
-//! contract and the proof sketch of pop-order equivalence.
+//! Pushes whose source is known to emit in non-decreasing time order
+//! land in O(1) FIFO *lanes* instead of the shared binary heap. See the
+//! type-level docs for the determinism contract and the proof sketch of
+//! pop-order equivalence with a single heap.
 //!
 //! ```
-//! use coserve_sim::events::EventQueue;
+//! use coserve_sim::events::Calendar;
 //! use coserve_sim::time::SimTime;
 //!
-//! let mut q = EventQueue::new();
-//! q.push(SimTime::from_nanos(20), "late");
-//! q.push(SimTime::from_nanos(10), "early");
-//! assert_eq!(q.pop().unwrap().payload, "early");
+//! let mut cal = Calendar::new(1);
+//! cal.push(SimTime::from_nanos(20), "late");
+//! cal.push_lane(0, SimTime::from_nanos(10), "early");
+//! assert_eq!(cal.pop().unwrap().payload, "early");
 //! ```
 
 use std::cmp::Ordering;
@@ -60,94 +59,17 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// A deterministic min-priority queue of timestamped events.
-#[derive(Debug)]
-pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    next_seq: u64,
-    last_popped: SimTime,
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> EventQueue<E> {
-    /// Creates an empty queue.
-    #[must_use]
-    pub fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-            last_popped: SimTime::ZERO,
-        }
-    }
-
-    /// Schedules `payload` to fire at `at`.
-    ///
-    /// Scheduling in the past (before the last popped timestamp) is a
-    /// logic error in the engine; it is tolerated here (the event fires
-    /// "now") but flagged in debug builds.
-    pub fn push(&mut self, at: SimTime, payload: E) {
-        debug_assert!(
-            at >= self.last_popped,
-            "event scheduled at {at} before current time {}",
-            self.last_popped
-        );
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Entry(Scheduled {
-            at: at.max(self.last_popped),
-            seq,
-            payload,
-        }));
-    }
-
-    /// Removes and returns the earliest event, advancing the internal
-    /// notion of "now".
-    pub fn pop(&mut self) -> Option<Scheduled<E>> {
-        let entry = self.heap.pop()?;
-        self.last_popped = entry.0.at;
-        Some(entry.0)
-    }
-
-    /// The timestamp of the next event without removing it.
-    #[must_use]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.0.at)
-    }
-
-    /// Number of pending events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// The timestamp of the most recently popped event.
-    #[must_use]
-    pub fn now(&self) -> SimTime {
-        self.last_popped
-    }
-}
-
 /// A multi-lane event calendar: the engine-grade replacement for
 /// driving a hot event loop through a single binary heap.
 ///
 /// # Determinism contract
 ///
-/// A `Calendar` pops events in exactly the same order as an
-/// [`EventQueue`] fed the same pushes: strictly ascending `(at, seq)`,
-/// where `seq` is a single monotone counter shared by every push —
-/// equal-timestamp events therefore pop FIFO, and results depend only
-/// on the push sequence, never on which container held an event.
+/// A `Calendar` pops events in exactly the same order as a single
+/// binary heap (`EventQueue`, the test oracle) fed the same pushes:
+/// strictly ascending `(at, seq)`, where `seq` is a single monotone
+/// counter shared by every push — equal-timestamp events therefore pop
+/// FIFO, and results depend only on the push sequence, never on which
+/// container held an event.
 ///
 /// # Lanes
 ///
@@ -186,7 +108,7 @@ pub struct Calendar<E> {
     last_popped: SimTime,
     len: usize,
     /// Reference mode: every push goes to the heap, reducing the
-    /// calendar to a plain [`EventQueue`]. The equivalence proptests
+    /// calendar to a plain single-heap queue. The equivalence proptests
     /// drive both modes over identical workloads.
     reference: bool,
 }
@@ -217,20 +139,14 @@ impl<E> Calendar<E> {
     }
 
     /// Creates a calendar whose lane pushes all take the heap path —
-    /// behaviourally a plain [`EventQueue`]. Test/verification aid: runs
-    /// driven through a reference calendar must be bit-identical to the
-    /// laned ones.
+    /// behaviourally a plain single-heap queue. Test/verification aid:
+    /// runs driven through a reference calendar must be bit-identical to
+    /// the laned ones.
     #[must_use]
     pub fn reference(lanes: usize) -> Self {
         let mut cal = Calendar::new(lanes);
         cal.reference = true;
         cal
-    }
-
-    /// Whether this calendar was built with [`Calendar::reference`].
-    #[must_use]
-    pub fn is_reference(&self) -> bool {
-        self.reference
     }
 
     fn next_seq(&mut self, at: SimTime) -> (SimTime, u64) {
@@ -247,8 +163,7 @@ impl<E> Calendar<E> {
 
     /// Schedules `payload` at `at` through the shared heap — the path
     /// for sources with no ordering guarantee. Scheduling in the past is
-    /// tolerated (floored to "now") but flagged in debug builds, exactly
-    /// like [`EventQueue::push`].
+    /// tolerated (floored to "now") but flagged in debug builds.
     pub fn push(&mut self, at: SimTime, payload: E) {
         let (at, seq) = self.next_seq(at);
         self.heap.push(Entry(Scheduled { at, seq, payload }));
@@ -364,6 +279,97 @@ impl<E> Calendar<E> {
         self.len = 0;
         let lanes = self.lanes.iter_mut().flat_map(|lane| lane.drain(..));
         lanes.chain(self.heap.drain().map(|entry| entry.0))
+    }
+}
+
+/// A deterministic min-priority queue of timestamped events: a single
+/// binary heap, the test oracle the [`Calendar`] is checked against.
+#[cfg(test)]
+#[derive(Debug)]
+pub struct EventQueue<E> {
+    heap: BinaryHeap<Entry<E>>,
+    next_seq: u64,
+    last_popped: SimTime,
+}
+
+#[cfg(test)]
+impl<E> Default for EventQueue<E> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+#[cfg(test)]
+impl<E> EventQueue<E> {
+    /// Creates an empty queue.
+    #[must_use]
+    pub fn new() -> Self {
+        EventQueue {
+            heap: BinaryHeap::new(),
+            next_seq: 0,
+            last_popped: SimTime::ZERO,
+        }
+    }
+
+    /// Schedules `payload` to fire at `at`.
+    ///
+    /// Scheduling in the past (before the last popped timestamp) is a
+    /// logic error in the engine; it is tolerated here (the event fires
+    /// "now") but flagged in debug builds.
+    pub fn push(&mut self, at: SimTime, payload: E) {
+        debug_assert!(
+            at >= self.last_popped,
+            "event scheduled at {at} before current time {}",
+            self.last_popped
+        );
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.heap.push(Entry(Scheduled {
+            at: at.max(self.last_popped),
+            seq,
+            payload,
+        }));
+    }
+
+    /// Removes and returns the earliest event, advancing the internal
+    /// notion of "now".
+    pub fn pop(&mut self) -> Option<Scheduled<E>> {
+        let entry = self.heap.pop()?;
+        self.last_popped = entry.0.at;
+        Some(entry.0)
+    }
+
+    /// The timestamp of the next event without removing it.
+    #[must_use]
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|e| e.0.at)
+    }
+
+    /// Number of pending events.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// Whether no events are pending.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+
+    /// The timestamp of the most recently popped event.
+    #[must_use]
+    pub fn now(&self) -> SimTime {
+        self.last_popped
+    }
+}
+
+#[cfg(test)]
+impl<E> Calendar<E> {
+    /// Whether this calendar was built with [`Calendar::reference`].
+    #[must_use]
+    pub fn is_reference(&self) -> bool {
+        self.reference
     }
 }
 

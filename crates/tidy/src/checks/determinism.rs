@@ -142,7 +142,7 @@ mod tests {
     #[test]
     fn bench_and_server_are_exempt() {
         for (path, name) in [
-            ("crates/bench/src/perf_report.rs", "bench"),
+            ("crates/bench/src/figures.rs", "bench"),
             ("crates/server/src/server.rs", "server"),
         ] {
             let out = run_on(path, name, "let t = Instant::now();\n");

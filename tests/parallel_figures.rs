@@ -38,10 +38,14 @@ fn parallel_sweeps_are_byte_identical_to_serial() {
     // fig23 fans each fleet's nodes over the sweep workers; its CSV is
     // simulation-only and must be width-independent. (Its JSON artifact
     // is deliberately wall-clock — machine-dependent by design — so it
-    // is not compared here.)
+    // is not compared here.) It runs at a fifth of the other figures'
+    // scale: its cost is almost all simulated requests, and the fleets
+    // (1, 8 and 64 nodes) stay wider than the 4 workers at any scale.
+    std::env::set_var("COSERVE_SCALE", "0.01");
     let (t23, _) = figures::fig23_engine_scale();
     let fig23_serial = t23.to_csv();
 
+    std::env::set_var("COSERVE_SCALE", "0.05");
     std::env::set_var("COSERVE_JOBS", "4");
     assert_eq!(sweep::jobs(), 4);
     let fig20_wide = figures::fig20_latency_vs_load().to_csv();
@@ -49,6 +53,7 @@ fn parallel_sweeps_are_byte_identical_to_serial() {
     let fig21_wide = t21w.to_csv();
     let (t22w, artifacts22_wide) = figures::fig22_failure_recovery();
     let fig22_wide = t22w.to_csv();
+    std::env::set_var("COSERVE_SCALE", "0.01");
     let (t23w, _) = figures::fig23_engine_scale();
     let fig23_wide = t23w.to_csv();
 
